@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "aging/device_model.hpp"
 #include "aging/lifetime.hpp"
@@ -17,6 +18,7 @@
 #include "quant/bit_distribution.hpp"
 #include "quant/word_codec.hpp"
 #include "sim/accelerator.hpp"
+#include "sim/tpu_npu.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -59,6 +61,51 @@ void BM_Int8Encode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Int8Encode);
+
+void BM_WeightFill(benchmark::State& state) {
+  // Per-value cost of block-wise synthesis: WeightStreamer::fill over the
+  // largest custom_mnist layer (fc1, 204800 weights) in 1024-value blocks.
+  const dnn::Network net = dnn::make_custom_mnist();
+  const dnn::WeightStreamer streamer(net);
+  constexpr std::size_t kLayer = 2;
+  const std::uint64_t count =
+      net.layers()[net.weighted_layers()[kLayer]].weight_count();
+  std::vector<float> block(1024);
+  std::uint64_t begin = 0;
+  for (auto _ : state) {
+    streamer.fill(kLayer, begin, block);
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+    begin += block.size();
+    if (begin + block.size() > count) begin = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(BM_WeightFill);
+
+void BM_StreamBuild(benchmark::State& state) {
+  // One sweep point's stream construction, end to end: streamer + codec
+  // construction (the quantisation range pass) + the first for_each_write
+  // (packing every row into the payload cache). custom_mnist,
+  // int8-symmetric, 32-wide 2-tile NPU — the CI sweep grid's stream.
+  const dnn::Network net = dnn::make_custom_mnist();
+  sim::TpuNpuConfig config;
+  config.array_dim = 32;
+  config.fifo_tiles = 2;
+  for (auto _ : state) {
+    const dnn::WeightStreamer streamer(net);
+    const quant::WeightWordCodec codec(streamer,
+                                       quant::WeightFormat::kInt8Symmetric);
+    const sim::NpuWeightStream stream(codec, config);
+    std::uint64_t rows = 0;
+    stream.for_each_write([&](const sim::RowWriteEvent&) { ++rows; });
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(net.total_weights()));
+}
+BENCHMARK(BM_StreamBuild)->Unit(benchmark::kMillisecond);
 
 void BM_XorTransducerRow(benchmark::State& state) {
   const core::XorTransducer transducer(512);

@@ -1,8 +1,9 @@
 // Synthetic "pre-trained" weight generation.
 //
-// Substitution (see DESIGN.md): the paper analyses pre-trained ImageNet
-// models; offline we synthesise weights whose *distribution* matches what
-// training produces — zero-centred, sharply peaked, fan-in-scaled spread.
+// Substitution (see README.md, "Substitutions"): the paper analyses
+// pre-trained ImageNet models; offline we synthesise weights whose
+// *distribution* matches what training produces — zero-centred, sharply
+// peaked, fan-in-scaled spread.
 // Trained CNN weight tensors are well modelled by a Laplacian (default) or
 // Gaussian; either reproduces the paper's Fig. 6 per-bit-probability
 // profiles (mantissa ~ 0.5, exponent strongly biased, int8-symmetric ~ 0.5,
@@ -11,10 +12,16 @@
 // Weights are produced by a counter-based RNG: weight(g) is a pure function
 // of (seed, network, g), so a 138 M-parameter model streams without being
 // materialised, and any traversal order sees identical values.
+//
+// fill() is the one implementation of the per-value math; it works a block
+// at a time with every per-layer constant hoisted and no data-dependent
+// branch (see README.md, "Performance kernels"). weight(g) is a one-element
+// fill().
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "dnn/network.hpp"
@@ -58,19 +65,39 @@ class WeightStreamer {
   /// The value of the global weight index `g` (see Network for ordering).
   float weight(std::uint64_t g) const;
 
+  /// The values of weights [begin, begin + out.size()) of weighted layer
+  /// `w` (index into Network::weighted_layers()), as layer-local indices:
+  /// out[i] is bit-identical to weight(weight_offset(w) + begin + i). The
+  /// range must lie inside the layer.
+  void fill(std::size_t w, std::uint64_t begin, std::span<float> out) const;
+
   /// Range statistics of weighted layer `w` (index into
-  /// Network::weighted_layers()); computed on first use and cached.
+  /// Network::weighted_layers()); computed on first use and cached. Safe to
+  /// call concurrently: each layer's pass runs exactly once.
   const LayerWeightStats& layer_stats(std::size_t w) const;
 
   /// Per-layer Laplace/Gaussian scale parameter (sigma).
   double layer_sigma(std::size_t w) const;
 
  private:
+  /// Per-layer constants of the generator, hoisted out of fill().
+  struct LayerGen {
+    std::uint64_t key = 0;       ///< CounterRng key of the layer's stream
+    std::uint64_t count = 0;     ///< weights in the layer
+    double sigma = 0.0;
+    double laplace_scale = 0.0;  ///< sigma / sqrt(2)
+  };
+  struct LazyStats {
+    std::once_flag once;
+    LayerWeightStats stats;
+  };
+
   const Network* network_;  // non-owning; must outlive the streamer
   WeightGenConfig config_;
-  std::vector<util::CounterRng> layer_rngs_;  // one decorrelated stream per layer
-  std::vector<double> sigmas_;
-  mutable std::vector<std::unique_ptr<LayerWeightStats>> stats_cache_;
+  std::vector<LayerGen> layers_;  // one decorrelated stream per layer
+  /// Tail-skew factor of a value, indexed by (value > 0).
+  double skew_[2] = {1.0, 1.0};
+  mutable std::vector<LazyStats> stats_;
 };
 
 }  // namespace dnnlife::dnn

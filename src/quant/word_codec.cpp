@@ -37,30 +37,22 @@ WeightFormat weight_format_from_string(std::string_view name) {
 WeightWordCodec::WeightWordCodec(const dnn::WeightStreamer& streamer,
                                  WeightFormat format)
     : streamer_(&streamer), format_(format), bits_(bits_per_weight(format)) {
-  params_cache_.resize(streamer.network().weighted_layers().size());
-  // Build every layer's quantization parameters (and the streamer stats
-  // they derive from) up front: encode/decode touch all layers on any full
-  // pass anyway, and a fully-populated cache makes the codec safe to share
-  // across threads (Workbench::evaluate_all) with no per-call locking.
-  if (format_ != WeightFormat::kFloat32) {
-    for (std::size_t w = 0; w < params_cache_.size(); ++w)
-      (void)layer_params(w);
+  if (format_ == WeightFormat::kFloat32) return;
+  const std::size_t layers = streamer.network().weighted_layers().size();
+  params_.reserve(layers);
+  for (std::size_t w = 0; w < layers; ++w) {
+    const auto& stats = streamer_->layer_stats(w);
+    params_.push_back(format_ == WeightFormat::kInt8Symmetric
+                          ? make_symmetric_int8(stats.abs_max)
+                          : make_asymmetric_uint8(stats.min, stats.max));
   }
 }
 
 const QuantParams& WeightWordCodec::layer_params(std::size_t w) const {
   DNNLIFE_EXPECTS(format_ != WeightFormat::kFloat32,
                   "float32 has no quantization parameters");
-  DNNLIFE_EXPECTS(w < params_cache_.size(), "weighted-layer index out of range");
-  if (!params_cache_[w]) {
-    const auto& stats = streamer_->layer_stats(w);
-    auto params = std::make_unique<QuantParams>(
-        format_ == WeightFormat::kInt8Symmetric
-            ? make_symmetric_int8(stats.abs_max)
-            : make_asymmetric_uint8(stats.min, stats.max));
-    params_cache_[w] = std::move(params);
-  }
-  return *params_cache_[w];
+  DNNLIFE_EXPECTS(w < params_.size(), "weighted-layer index out of range");
+  return params_[w];
 }
 
 const QuantParams& WeightWordCodec::params_for(std::uint64_t g) const {
@@ -68,21 +60,31 @@ const QuantParams& WeightWordCodec::params_for(std::uint64_t g) const {
 }
 
 std::uint64_t WeightWordCodec::encode(std::uint64_t g) const {
-  const float value = streamer_->weight(g);
-  switch (format_) {
-    case WeightFormat::kFloat32:
-      return float_to_bits(value);
-    case WeightFormat::kInt8Symmetric: {
-      const std::int32_t code = quantize(params_for(g), value);
-      // Two's-complement low byte.
-      return static_cast<std::uint64_t>(static_cast<std::uint8_t>(code));
-    }
-    case WeightFormat::kInt8Asymmetric: {
-      const std::int32_t code = quantize(params_for(g), value);
-      return static_cast<std::uint64_t>(static_cast<std::uint8_t>(code));
-    }
+  const dnn::Network& network = streamer_->network();
+  const std::size_t w = network.weighted_layer_of(g);
+  float value = 0.0f;
+  streamer_->fill(w, g - network.weight_offset(w), std::span<float>(&value, 1));
+  std::uint64_t word = 0;
+  encode_block(w, std::span<const float>(&value, 1),
+               std::span<std::uint64_t>(&word, 1));
+  return word;
+}
+
+void WeightWordCodec::encode_block(std::size_t w, std::span<const float> values,
+                                   std::span<std::uint64_t> out) const {
+  DNNLIFE_EXPECTS(out.size() == values.size(), "encode_block size mismatch");
+  if (format_ == WeightFormat::kFloat32) {
+    for (std::size_t i = 0; i < values.size(); ++i)
+      out[i] = float_to_bits(values[i]);
+    return;
   }
-  throw std::logic_error("unknown weight format");
+  // int8 formats: the low byte of the code — two's complement for the
+  // symmetric grid, the plain uint8 code for the asymmetric one.
+  const QuantParams& params = layer_params(w);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out[i] = static_cast<std::uint64_t>(
+        static_cast<std::uint8_t>(quantize(params, values[i])));
+  }
 }
 
 double WeightWordCodec::decode(std::uint64_t g, std::uint64_t word) const {

@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,8 +32,9 @@ WeightFormat weight_format_from_string(std::string_view name);
 
 /// Encodes weights of one network into memory words. Quantization
 /// parameters are per-layer (per-tensor granularity, the standard
-/// post-training setting), computed lazily from the streamer's layer
-/// statistics.
+/// post-training setting), computed at construction from the streamer's
+/// layer statistics, so a codec is immutable and safe to share across
+/// threads.
 class WeightWordCodec {
  public:
   WeightWordCodec(const dnn::WeightStreamer& streamer, WeightFormat format);
@@ -44,6 +45,13 @@ class WeightWordCodec {
 
   /// The stored word (low `bits()` bits) for global weight index `g`.
   std::uint64_t encode(std::uint64_t g) const;
+
+  /// The stored words of `values`, weights of weighted layer `w` (index
+  /// into Network::weighted_layers(), which selects the quantization
+  /// parameters): out[i] encodes values[i]. The one implementation of the
+  /// per-value encoding; encode(g) is a one-element call.
+  void encode_block(std::size_t w, std::span<const float> values,
+                    std::span<std::uint64_t> out) const;
 
   /// Reconstructed real value of a stored word belonging to weight `g`
   /// (g selects the layer and hence the quantization parameters).
@@ -56,7 +64,7 @@ class WeightWordCodec {
   const dnn::WeightStreamer* streamer_;  // non-owning
   WeightFormat format_;
   unsigned bits_;
-  mutable std::vector<std::unique_ptr<QuantParams>> params_cache_;
+  std::vector<QuantParams> params_;  // per weighted layer; empty for float32
 
   const QuantParams& params_for(std::uint64_t g) const;
 };

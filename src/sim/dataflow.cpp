@@ -3,17 +3,24 @@
 namespace dnnlife::sim {
 
 TiledRowSource::TiledRowSource(const dnn::Network& network, DataflowConfig config)
-    : network_(&network), config_(config) {
+    : config_(config) {
   DNNLIFE_EXPECTS(config_.filters_per_set >= 1, "f must be positive");
   DNNLIFE_EXPECTS(config_.weights_per_filter_per_row >= 1, "N must be positive");
-  for (std::size_t w = 0; w < network.weighted_layers().size(); ++w) {
-    const auto& layer = network.layers()[network.weighted_layers()[w]];
-    const std::uint64_t filters = filter_count(layer);
-    const std::uint64_t wpf = layer.weight_count() / filters;
-    const std::uint64_t sets = util::ceil_div(filters, config_.filters_per_set);
-    const std::uint64_t rows_per_set =
-        util::ceil_div(wpf, config_.weights_per_filter_per_row);
-    total_rows_ += sets * rows_per_set;
+  const auto& weighted = network.weighted_layers();
+  layers_.reserve(weighted.size());
+  for (std::size_t w = 0; w < weighted.size(); ++w) {
+    const auto& spec = network.layers()[weighted[w]];
+    LayerTiling layer;
+    layer.base = network.weight_offset(w);
+    layer.filters = spec.kind == dnn::LayerKind::kConv ? spec.out_channels
+                                                       : spec.out_features;
+    layer.weights_per_filter = spec.weight_count() / layer.filters;
+    layer.sets = util::ceil_div(layer.filters, config_.filters_per_set);
+    layer.rows_per_set =
+        util::ceil_div(layer.weights_per_filter,
+                       config_.weights_per_filter_per_row);
+    total_rows_ += layer.sets * layer.rows_per_set;
+    layers_.push_back(layer);
   }
 }
 

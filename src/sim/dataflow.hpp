@@ -25,12 +25,25 @@ struct DataflowConfig {
   std::uint32_t weights_per_filter_per_row = 8;  ///< N
 };
 
+/// How one weighted layer tiles into rows: its filters split into `sets`
+/// sets of f, each streaming `rows_per_set` rows of N weights per filter.
+struct LayerTiling {
+  std::uint64_t base = 0;     ///< global index of the layer's first weight
+  std::uint64_t filters = 0;  ///< output channels / features
+  std::uint64_t weights_per_filter = 0;
+  std::uint64_t sets = 0;
+  std::uint64_t rows_per_set = 0;
+};
+
 /// Enumerates the dataflow's row sequence as weight indices.
 class TiledRowSource {
  public:
   TiledRowSource(const dnn::Network& network, DataflowConfig config);
 
   const DataflowConfig& config() const noexcept { return config_; }
+  /// Tiling of every weighted layer, indexed like
+  /// Network::weighted_layers() (which is also dataflow order).
+  const std::vector<LayerTiling>& layers() const noexcept { return layers_; }
   /// Weight slots per row (f * N).
   std::uint32_t slots_per_row() const noexcept {
     return config_.filters_per_set * config_.weights_per_filter_per_row;
@@ -55,26 +68,20 @@ class TiledRowSource {
     const std::uint32_t n = config_.weights_per_filter_per_row;
     std::vector<std::int64_t> slots(slots_per_row());
     std::uint64_t row_index = 0;
-    const auto& network = *network_;
-    for (std::size_t w = 0; w < network.weighted_layers().size(); ++w) {
-      const auto& layer = network.layers()[network.weighted_layers()[w]];
-      const std::uint64_t layer_base = network.weight_offset(w);
-      const std::uint64_t filters = filter_count(layer);
-      const std::uint64_t wpf = layer.weight_count() / filters;
-      const std::uint64_t sets = util::ceil_div(filters, f);
-      const std::uint64_t rows_per_set = util::ceil_div(wpf, n);
-      for (std::uint64_t set = 0; set < sets; ++set) {
-        for (std::uint64_t r = 0; r < rows_per_set; ++r) {
+    for (const LayerTiling& layer : layers_) {
+      const std::uint64_t wpf = layer.weights_per_filter;
+      for (std::uint64_t set = 0; set < layer.sets; ++set) {
+        for (std::uint64_t r = 0; r < layer.rows_per_set; ++r) {
           for (std::uint32_t i = 0; i < f; ++i) {
             const std::uint64_t filter = set * f + i;
             for (std::uint32_t j = 0; j < n; ++j) {
               const std::uint64_t local = r * n + j;
               const std::size_t slot = static_cast<std::size_t>(i) * n + j;
-              if (filter >= filters || local >= wpf) {
+              if (filter >= layer.filters || local >= wpf) {
                 slots[slot] = -1;
               } else {
                 slots[slot] = static_cast<std::int64_t>(
-                    layer_base + filter * wpf + local);
+                    layer.base + filter * wpf + local);
               }
             }
           }
@@ -87,14 +94,8 @@ class TiledRowSource {
   }
 
  private:
-  /// Filter count of a weighted layer (output channels / features).
-  static std::uint64_t filter_count(const dnn::LayerSpec& layer) noexcept {
-    return layer.kind == dnn::LayerKind::kConv ? layer.out_channels
-                                               : layer.out_features;
-  }
-
-  const dnn::Network* network_;
   DataflowConfig config_;
+  std::vector<LayerTiling> layers_;
   std::uint64_t total_rows_ = 0;
 };
 

@@ -143,13 +143,11 @@ double inverse_normal_cdf(double p) {
 }
 
 double CounterRng::gaussian_at(std::uint64_t i) const noexcept {
-  // Map to (0,1) strictly: shift the 53-bit uniform by half a ulp.
-  const double u = (static_cast<double>(bits_at(i) >> 11) + 0.5) * 0x1.0p-53;
-  return inverse_normal_cdf(u);
+  return inverse_normal_cdf(open_unit_double(bits_at(i)));
 }
 
 double CounterRng::laplace_at(std::uint64_t i, double scale) const noexcept {
-  const double u = (static_cast<double>(bits_at(i) >> 11) + 0.5) * 0x1.0p-53 - 0.5;
+  const double u = open_unit_double(bits_at(i)) - 0.5;
   const double sign = u < 0 ? -1.0 : 1.0;
   return -scale * sign * std::log(1.0 - 2.0 * std::abs(u));
 }

@@ -75,9 +75,15 @@ class CounterRng {
  public:
   explicit CounterRng(std::uint64_t seed) noexcept : seed_(seed) {}
 
+  /// The stream key: bits_at(i) is splitmix64(key() + i), so block-wise
+  /// readers hoist it out of their loops.
+  std::uint64_t key() const noexcept {
+    return splitmix64(seed_ ^ 0x243f6a8885a308d3ULL);
+  }
+
   /// 64 random bits for index `i`.
   std::uint64_t bits_at(std::uint64_t i) const noexcept {
-    return splitmix64(splitmix64(seed_ ^ 0x243f6a8885a308d3ULL) + i);
+    return splitmix64(key() + i);
   }
 
   /// Uniform double in [0, 1) for index `i`.
@@ -96,6 +102,12 @@ class CounterRng {
  private:
   std::uint64_t seed_;
 };
+
+/// Uniform double strictly inside (0, 1) from 64 random bits: the top 53
+/// bits shifted by half a ulp, so inverse CDFs never see 0 or 1.
+constexpr double open_unit_double(std::uint64_t bits) noexcept {
+  return (static_cast<double>(bits >> 11) + 0.5) * 0x1.0p-53;
+}
 
 /// Inverse of the standard normal CDF (Acklam's rational approximation,
 /// relative error < 1.15e-9). `p` must lie in (0, 1).

@@ -7,24 +7,6 @@
 
 namespace dnnlife::util {
 
-void RunningStats::add(double value, std::uint64_t weight) noexcept {
-  if (weight == 0) return;
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  // Weighted Welford update (West 1979).
-  const double w = static_cast<double>(weight);
-  const double total = static_cast<double>(count_) + w;
-  const double delta = value - mean_;
-  mean_ += delta * (w / total);
-  m2_ += delta * (value - mean_) * w;
-  count_ += weight;
-}
-
 double RunningStats::variance() const noexcept {
   return count_ == 0 ? 0.0 : m2_ / static_cast<double>(count_);
 }

@@ -1,6 +1,7 @@
 // Streaming and batch summary statistics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -10,7 +11,25 @@ namespace dnnlife::util {
 /// Welford-style streaming accumulator for mean/variance/min/max.
 class RunningStats {
  public:
-  void add(double value, std::uint64_t weight = 1) noexcept;
+  /// Inline so that hot loops (the weight range pass, report folds) keep
+  /// the accumulator in registers.
+  void add(double value, std::uint64_t weight = 1) noexcept {
+    if (weight == 0) return;
+    if (count_ == 0) {
+      min_ = value;
+      max_ = value;
+    } else {
+      min_ = std::min(min_, value);
+      max_ = std::max(max_, value);
+    }
+    // Weighted Welford update (West 1979).
+    const double w = static_cast<double>(weight);
+    const double total = static_cast<double>(count_) + w;
+    const double delta = value - mean_;
+    mean_ += delta * (w / total);
+    m2_ += delta * (value - mean_) * w;
+    count_ += weight;
+  }
 
   std::uint64_t count() const noexcept { return count_; }
   double mean() const noexcept { return count_ == 0 ? 0.0 : mean_; }

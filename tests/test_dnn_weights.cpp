@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "dnn/inference.hpp"
 #include "dnn/model_zoo.hpp"
@@ -147,6 +149,39 @@ TEST(WeightStreamer, LayerStatsAreCachedAndConsistent) {
   EXPECT_GE(stats.abs_max, std::abs(stats.max));
   // Second call returns the same cached object.
   EXPECT_EQ(&streamer.layer_stats(0), &stats);
+}
+
+TEST(WeightStreamer, ConcurrentFirstLayerStatsCallsAgree) {
+  // Several threads race on the first layer_stats call of every layer of a
+  // fresh streamer (no codec pre-warmed it): each layer's pass runs once and
+  // every caller sees the same, fully written result. Run under TSan in CI.
+  const Network net = make_custom_mnist();
+  const WeightStreamer reference(net);
+  const WeightStreamer streamer(net);
+  const std::size_t layers = net.weighted_layers().size();
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<const LayerWeightStats*>> seen(
+      kThreads, std::vector<const LayerWeightStats*>(layers));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < layers; ++k) {
+        const std::size_t w = (k + t) % layers;
+        seen[t][w] = &streamer.layer_stats(w);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t w = 0; w < layers; ++w) {
+    const LayerWeightStats& expected = reference.layer_stats(w);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(seen[t][w], seen[0][w]);
+      EXPECT_EQ(seen[t][w]->min, expected.min);
+      EXPECT_EQ(seen[t][w]->max, expected.max);
+      EXPECT_EQ(seen[t][w]->mean, expected.mean);
+      EXPECT_EQ(seen[t][w]->stddev, expected.stddev);
+    }
+  }
 }
 
 TEST(WeightStreamer, SigmaScaleMultiplies) {
