@@ -7,13 +7,18 @@
 //   bench_env_timeline [--threads=N] [--json=PATH]
 //
 // --threads sets the report-evaluation shard count (default 0 = hardware
-// concurrency; results are bit-identical for any value). --json writes the
-// per-model wall times — CI gates on the pbti-hci lifetime seconds, the
-// solve the Newton inversion and the sharded report pipeline speed up
-// (see bench/bench_env_timeline_reference.json).
+// concurrency; results are bit-identical for any value). Each lifetime
+// report is checked against a per-cell comparator — gather each used
+// cell's history and solve it on its own, one thread — whose time over the
+// report's is the dedupe speedup (one solve per distinct stress history
+// instead of one per cell). --json writes the per-model wall times and
+// speedups; CI gates on the pbti-hci lifetime seconds and its dedupe
+// speedup (see bench/bench_env_timeline_reference.json).
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,6 +106,11 @@ int main(int argc, char** argv) {
     std::string model;
     double report_seconds = 0.0;
     double lifetime_seconds = 0.0;
+    double per_cell_seconds = 0.0;
+
+    double dedupe_speedup() const {
+      return per_cell_seconds / lifetime_seconds;
+    }
   };
   std::vector<ModelTiming> timings;
   for (const char* name :
@@ -126,6 +136,26 @@ int main(int argc, char** argv) {
       const double lifetime_seconds = seconds_since(lifetime_start);
       timing.report_seconds += report_seconds;
       timing.lifetime_seconds += lifetime_seconds;
+
+      // The per-cell comparator: one timeline solve per used cell, exactly
+      // the loop make_lifetime_report ran before deduplication.
+      const auto per_cell_start = std::chrono::steady_clock::now();
+      double min_years = std::numeric_limits<double>::infinity();
+      std::vector<aging::StressSegment> history;
+      const std::size_t cells = phased.segments.front().tracker.cell_count();
+      for (std::size_t cell = 0; cell < cells; ++cell) {
+        if (aging::gather_cell_segments(phased.segments, cell, history)
+                .total == 0)
+          continue;
+        min_years =
+            std::min(min_years, lifetime_model.years_to_failure(history));
+      }
+      timing.per_cell_seconds += seconds_since(per_cell_start);
+      if (lifetime.device_lifetime_years != min_years) {
+        std::cerr << "deduplicated/per-cell lifetime mismatch for " << name
+                  << ", " << label << "\n";
+        return 1;
+      }
       out.add_row({label, util::Table::num(report.snm_stats.mean(), 2),
                    util::Table::num(report.snm_stats.max(), 2),
                    util::Table::num(lifetime.device_lifetime_years, 2),
@@ -135,7 +165,11 @@ int main(int argc, char** argv) {
     std::cout << out.to_string();
     std::cout << "total: reports " << util::Table::num(timing.report_seconds, 3)
               << " s, lifetime solves "
-              << util::Table::num(timing.lifetime_seconds, 3) << " s\n";
+              << util::Table::num(timing.lifetime_seconds, 3)
+              << " s (per-cell comparator "
+              << util::Table::num(timing.per_cell_seconds, 3)
+              << " s, dedupe speedup "
+              << util::Table::num(timing.dedupe_speedup(), 1) << "x)\n";
     timings.push_back(timing);
   }
   std::cout << "\nThe default engine is pinned to the paper's operating point\n"
@@ -157,7 +191,11 @@ int main(int argc, char** argv) {
            << "\"report_seconds\": "
            << util::Table::num(timing.report_seconds, 4) << ", "
            << "\"lifetime_seconds\": "
-           << util::Table::num(timing.lifetime_seconds, 4) << "}"
+           << util::Table::num(timing.lifetime_seconds, 4) << ", "
+           << "\"per_cell_seconds\": "
+           << util::Table::num(timing.per_cell_seconds, 4) << ", "
+           << "\"dedupe_speedup\": "
+           << util::Table::num(timing.dedupe_speedup(), 2) << "}"
            << (i + 1 < timings.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";

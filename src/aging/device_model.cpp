@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <type_traits>
+#include <vector>
 
 #include "aging/nbti_model.hpp"
 #include "util/check.hpp"
@@ -38,6 +40,112 @@ TimelineScan scan_timeline(std::span<const StressSegment> timeline) {
 /// Relative step of the central finite differences below: cbrt(epsilon),
 /// the accuracy-optimal choice for a central difference.
 constexpr double kFiniteDifferenceStep = 6e-6;
+
+/// Equivalent-time composition of a multi-segment timeline over per-segment
+/// curves: `Curve` provides degradation(years) and years_to_reach(target)
+/// at one segment's duty and environment. The base class binds curves to
+/// the virtual calls; a model binds curves on its hoisted per-segment
+/// constants — one composition, whatever the curve.
+template <class Curve>
+class ComposedTimeline {
+ public:
+  /// Bind every positive-weight segment of `timeline` (total positive
+  /// weight `total_weight`) through `make_curve(segment)`.
+  template <class MakeCurve>
+  ComposedTimeline(std::span<const StressSegment> timeline, double total_weight,
+                   MakeCurve&& make_curve) {
+    for (const StressSegment& segment : timeline) {
+      if (segment.weight <= 0.0) continue;
+      phases_.push_back({make_curve(segment), segment.weight / total_weight});
+    }
+  }
+
+  double degradation(double years) const {
+    double total = 0.0;
+    for (const Phase& phase : phases_) {
+      const double share = years * phase.fraction;
+      double equivalent = 0.0;
+      if (total > 0.0) {
+        equivalent = phase.curve.years_to_reach(total);
+        // A segment that cannot even reproduce the degradation reached so
+        // far (e.g. fully power-gated) adds nothing; degradation never
+        // anneals below its running maximum in this composition.
+        if (!std::isfinite(equivalent)) continue;
+      }
+      total = phase.curve.degradation(equivalent + share);
+    }
+    return total;
+  }
+
+  /// Years until degradation() reaches `threshold` (> 0). Same safeguarded
+  /// Newton as years_to_reach, over the composed curve. The composition has
+  /// no model-provided derivative, so the slope is a central finite
+  /// difference — still ~10x fewer curve evaluations than bisection.
+  double years_to_failure(double threshold, double initial_hi) const {
+    const auto curve = [this](double years) { return degradation(years); };
+    const auto slope = [&](double years) {
+      const double scale = years > 0.0 ? years : 1.0;
+      const double h = scale * kFiniteDifferenceStep;
+      const double below = years > h ? years - h : 0.0;
+      return (curve(years + h) - curve(below)) / (years + h - below);
+    };
+    return util::invert_monotone(curve, slope, threshold, initial_hi);
+  }
+
+ private:
+  struct Phase {
+    Curve curve;
+    double fraction;  ///< segment weight / total positive weight
+  };
+  std::vector<Phase> phases_;
+};
+
+/// degradation_on_timeline over `make_curve`'s per-segment curves (single
+/// positive-weight timelines short-circuit to model.degradation()).
+template <class MakeCurve>
+double degradation_on_timeline_with(const DeviceAgingModel& model,
+                                    std::span<const StressSegment> timeline,
+                                    double years, MakeCurve&& make_curve) {
+  const TimelineScan scan = scan_timeline(timeline);
+  if (scan.single != nullptr)
+    return model.degradation(scan.single->duty, years,
+                             scan.single->environment);
+  DNNLIFE_EXPECTS(years >= 0.0, "negative time");
+  using Curve = std::invoke_result_t<MakeCurve&, const StressSegment&>;
+  return ComposedTimeline<Curve>(timeline, scan.total_weight, make_curve)
+      .degradation(years);
+}
+
+/// years_to_failure over `make_curve`'s per-segment curves (single
+/// positive-weight timelines short-circuit to model.years_to_reach()).
+template <class MakeCurve>
+double years_to_failure_with(const DeviceAgingModel& model,
+                             std::span<const StressSegment> timeline,
+                             double threshold, MakeCurve&& make_curve) {
+  const TimelineScan scan = scan_timeline(timeline);
+  if (scan.single != nullptr)
+    return model.years_to_reach(scan.single->duty, threshold,
+                                scan.single->environment);
+  DNNLIFE_EXPECTS(threshold >= 0.0, "negative failure threshold");
+  if (threshold <= 0.0) return 0.0;
+  using Curve = std::invoke_result_t<MakeCurve&, const StressSegment&>;
+  return ComposedTimeline<Curve>(timeline, scan.total_weight, make_curve)
+      .years_to_failure(threshold, model.reference_years());
+}
+
+/// The base-class curve: one segment through the model's virtual calls.
+struct VirtualCurve {
+  const DeviceAgingModel* model;
+  double duty;
+  EnvironmentSpec environment;
+
+  double degradation(double years) const {
+    return model->degradation(duty, years, environment);
+  }
+  double years_to_reach(double target) const {
+    return model->years_to_reach(duty, target, environment);
+  }
+};
 
 }  // namespace
 
@@ -95,50 +203,18 @@ void DeviceAgingModel::degradation_batch(std::span<const double> duties,
 
 double DeviceAgingModel::degradation_on_timeline(
     std::span<const StressSegment> timeline, double years) const {
-  const TimelineScan scan = scan_timeline(timeline);
-  if (scan.single != nullptr)
-    return degradation(scan.single->duty, years, scan.single->environment);
-  DNNLIFE_EXPECTS(years >= 0.0, "negative time");
-  double total = 0.0;
-  for (const StressSegment& segment : timeline) {
-    if (segment.weight <= 0.0) continue;
-    const double share = years * (segment.weight / scan.total_weight);
-    double equivalent = 0.0;
-    if (total > 0.0) {
-      equivalent = years_to_reach(segment.duty, total, segment.environment);
-      // A segment that cannot even reproduce the degradation reached so
-      // far (e.g. fully power-gated) adds nothing; degradation never
-      // anneals below its running maximum in this composition.
-      if (!std::isfinite(equivalent)) continue;
-    }
-    total = degradation(segment.duty, equivalent + share, segment.environment);
-  }
-  return total;
+  return degradation_on_timeline_with(
+      *this, timeline, years, [this](const StressSegment& segment) {
+        return VirtualCurve{this, segment.duty, segment.environment};
+      });
 }
 
 double DeviceAgingModel::years_to_failure(std::span<const StressSegment> timeline,
                                           double threshold) const {
-  const TimelineScan scan = scan_timeline(timeline);
-  if (scan.single != nullptr)
-    return years_to_reach(scan.single->duty, threshold,
-                          scan.single->environment);
-  DNNLIFE_EXPECTS(threshold >= 0.0, "negative failure threshold");
-  if (threshold <= 0.0) return 0.0;
-  // Same safeguarded Newton as years_to_reach, over the composed timeline
-  // curve. The composition has no model-provided derivative, so the slope
-  // is a central finite difference — still ~10x fewer curve evaluations
-  // than bisection, and each evaluation's inner equivalent-time inversions
-  // are themselves Newton solves now.
-  const auto curve = [&](double years) {
-    return degradation_on_timeline(timeline, years);
-  };
-  const auto slope = [&](double years) {
-    const double scale = years > 0.0 ? years : 1.0;
-    const double h = scale * kFiniteDifferenceStep;
-    const double below = years > h ? years - h : 0.0;
-    return (curve(years + h) - curve(below)) / (years + h - below);
-  };
-  return util::invert_monotone(curve, slope, threshold, reference_years());
+  return years_to_failure_with(
+      *this, timeline, threshold, [this](const StressSegment& segment) {
+        return VirtualCurve{this, segment.duty, segment.environment};
+      });
 }
 
 // ---- power-law family --------------------------------------------------------
@@ -325,29 +401,58 @@ PbtiHciDeviceModel::Terms PbtiHciDeviceModel::amplitude_terms(
   return terms;
 }
 
+/// degradation() and degradation_slope() at one (duty, environment) with
+/// amplitude_terms() evaluated once: the scalar calls, the batched Newton
+/// and the timeline composition all evaluate the curve through this one
+/// expression, so every path walks bit-identical iterates.
+struct PbtiHciDeviceModel::Curve {
+  Terms terms;
+  double t_ref;
+  double b1;  ///< PBTI time exponent
+  double b2;  ///< HCI time exponent
+
+  double degradation(double years) const {
+    const double t_norm = years / t_ref;
+    return terms.scale * (terms.pbti * std::pow(t_norm, b1) +
+                          terms.hci * std::pow(t_norm, b2));
+  }
+
+  /// Term-wise power-law derivative of the two-exponent sum (+inf at
+  /// t = 0, where both exponents are sublinear — the solver bisects that
+  /// iterate).
+  double slope(double years) const {
+    const double t_norm = years / t_ref;
+    return terms.scale *
+           (terms.pbti * (b1 / t_ref) * std::pow(t_norm, b1 - 1.0) +
+            terms.hci * (b2 / t_ref) * std::pow(t_norm, b2 - 1.0));
+  }
+
+  /// DeviceAgingModel::years_to_reach's bracketing Newton on this curve.
+  double years_to_reach(double target,
+                        util::InvertStats* stats = nullptr) const {
+    if (target <= 0.0) return 0.0;
+    return util::invert_monotone(
+        [this](double years) { return degradation(years); },
+        [this](double years) { return slope(years); }, target, t_ref, stats);
+  }
+};
+
+PbtiHciDeviceModel::Curve PbtiHciDeviceModel::curve(
+    double duty, const EnvironmentSpec& env) const {
+  return Curve{amplitude_terms(duty, env), params_.pbti.t_ref_years,
+               params_.pbti.time_exponent, params_.hci_time_exponent};
+}
+
 double PbtiHciDeviceModel::degradation(double duty, double years,
                                        const EnvironmentSpec& env) const {
   DNNLIFE_EXPECTS(years >= 0.0, "negative time");
-  const Terms terms = amplitude_terms(duty, env);
-  const double t_norm = years / params_.pbti.t_ref_years;
-  return terms.scale *
-         (terms.pbti * std::pow(t_norm, params_.pbti.time_exponent) +
-          terms.hci * std::pow(t_norm, params_.hci_time_exponent));
+  return curve(duty, env).degradation(years);
 }
 
 double PbtiHciDeviceModel::degradation_slope(double duty, double years,
                                              const EnvironmentSpec& env) const {
   DNNLIFE_EXPECTS(years >= 0.0, "negative time");
-  // Term-wise power-law derivative of the two-exponent sum (+inf at t = 0,
-  // where both exponents are sublinear — the solver bisects that iterate).
-  const Terms terms = amplitude_terms(duty, env);
-  const double t_ref = params_.pbti.t_ref_years;
-  const double t_norm = years / t_ref;
-  const double b1 = params_.pbti.time_exponent;
-  const double b2 = params_.hci_time_exponent;
-  return terms.scale *
-         (terms.pbti * (b1 / t_ref) * std::pow(t_norm, b1 - 1.0) +
-          terms.hci * (b2 / t_ref) * std::pow(t_norm, b2 - 1.0));
+  return curve(duty, env).slope(years);
 }
 
 void PbtiHciDeviceModel::years_to_reach_batch(std::span<const double> duties,
@@ -356,34 +461,13 @@ void PbtiHciDeviceModel::years_to_reach_batch(std::span<const double> duties,
                                               std::span<double> out,
                                               BatchSolveStats* stats) const {
   DNNLIFE_EXPECTS(target >= 0.0, "negative degradation target");
-  const double t_ref = params_.pbti.t_ref_years;
-  const double b1 = params_.pbti.time_exponent;
-  const double b2 = params_.hci_time_exponent;
   // Batched Newton: amplitude_terms() is evaluated once per *distinct*
-  // duty and the curve/slope closures reuse it across the whole iteration
-  // — the per-evaluation stress/Arrhenius/vdd pow() work of the scalar
-  // path collapses to the distinct-duty count. The closures compute the
-  // exact expressions of degradation() / degradation_slope() on the same
-  // double-valued terms, so invert_monotone walks an identical iterate
-  // sequence and the batch is bit-identical to years_to_reach.
+  // duty and reused across the whole iteration — the per-evaluation
+  // stress/Arrhenius/vdd pow() work of the scalar path collapses to the
+  // distinct-duty count.
   detail::solve_batch_memoised(duties, out, stats, [&](double duty) {
-    if (target <= 0.0) return 0.0;
-    const Terms terms = amplitude_terms(duty, env);
-    const auto curve = [&](double years) {
-      const double t_norm = years / t_ref;
-      return terms.scale * (terms.pbti * std::pow(t_norm, b1) +
-                            terms.hci * std::pow(t_norm, b2));
-    };
-    const auto slope = [&](double years) {
-      const double t_norm = years / t_ref;
-      return terms.scale *
-             (terms.pbti * (b1 / t_ref) * std::pow(t_norm, b1 - 1.0) +
-              terms.hci * (b2 / t_ref) * std::pow(t_norm, b2 - 1.0));
-    };
     util::InvertStats inversion;
-    const double years =
-        util::invert_monotone(curve, slope, target, reference_years(),
-                              &inversion);
+    const double years = curve(duty, env).years_to_reach(target, &inversion);
     if (stats != nullptr) {
       stats->curve_evaluations +=
           static_cast<std::uint64_t>(inversion.evaluations);
@@ -392,6 +476,22 @@ void PbtiHciDeviceModel::years_to_reach_batch(std::span<const double> duties,
     }
     return years;
   });
+}
+
+double PbtiHciDeviceModel::degradation_on_timeline(
+    std::span<const StressSegment> timeline, double years) const {
+  return degradation_on_timeline_with(
+      *this, timeline, years, [this](const StressSegment& segment) {
+        return curve(segment.duty, segment.environment);
+      });
+}
+
+double PbtiHciDeviceModel::years_to_failure(
+    std::span<const StressSegment> timeline, double threshold) const {
+  return years_to_failure_with(
+      *this, timeline, threshold, [this](const StressSegment& segment) {
+        return curve(segment.duty, segment.environment);
+      });
 }
 
 void PbtiHciDeviceModel::degradation_batch(std::span<const double> duties,

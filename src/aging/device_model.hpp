@@ -114,7 +114,10 @@ class DeviceAgingModel : public AgingModel {
   /// Years until degradation_on_timeline(timeline, ·) reaches `threshold`
   /// — the lifetime of a cell whose stress history is `timeline`. Single
   /// positive-weight timelines short-circuit to years_to_reach(),
-  /// bit-identically. Returns +inf when the threshold is unreachable.
+  /// bit-identically. Returns +inf when the threshold is unreachable. The
+  /// default composes through degradation() / years_to_reach() exactly as
+  /// the default degradation_on_timeline does, so a model that overrides
+  /// one of the two timeline hooks overrides both.
   virtual double years_to_failure(std::span<const StressSegment> timeline,
                                   double threshold) const;
 
@@ -238,7 +241,9 @@ class ArrheniusNbtiDeviceModel final : public CalibratedNbtiDeviceModel {
 /// not duty, and follows a steeper time exponent than reaction-diffusion
 /// BTI. Two time exponents make the total a non-power-law — this model
 /// exercises the generic bracketing inversion and equivalent-time
-/// composition paths of DeviceAgingModel.
+/// composition of DeviceAgingModel, run on per-segment curves whose
+/// amplitude terms are evaluated once per segment instead of once per
+/// curve evaluation (bit-identical to the virtual-call composition).
 class PbtiHciDeviceModel final : public DeviceAgingModel {
  public:
   struct Params {
@@ -280,6 +285,11 @@ class PbtiHciDeviceModel final : public DeviceAgingModel {
   void degradation_batch(std::span<const double> duties, double years,
                          const EnvironmentSpec& env, std::span<double> out,
                          BatchSolveStats* stats = nullptr) const override;
+  /// The base-class composition on hoisted per-segment curves.
+  double degradation_on_timeline(std::span<const StressSegment> timeline,
+                                 double years) const override;
+  double years_to_failure(std::span<const StressSegment> timeline,
+                          double threshold) const override;
 
   const Params& params() const noexcept { return params_; }
 
@@ -291,6 +301,10 @@ class PbtiHciDeviceModel final : public DeviceAgingModel {
     double hci = 0.0;    ///< HCI amplitude at t_ref [percent]
   };
   Terms amplitude_terms(double duty, const EnvironmentSpec& env) const;
+
+  /// The degradation curve in time at one (duty, env), terms hoisted.
+  struct Curve;
+  Curve curve(double duty, const EnvironmentSpec& env) const;
 
   Params params_;
   double alpha_;

@@ -190,8 +190,8 @@ LifetimeReport make_lifetime_report(
                                    threads);
   LifetimeBuilder builder(first.regions(), model);
   // Per-shard evaluation state: the gathered stress history is scratch
-  // reused across the shard's cells.
-  struct CellEval {
+  // reused across the shard's distinct histories.
+  struct HistoryEval {
     std::span<const EnvironmentSegmentView> segments;
     const LifetimeModel& model;
     std::vector<StressSegment> history;
@@ -201,12 +201,13 @@ LifetimeReport make_lifetime_report(
       return {model.years_to_failure(history), true};
     }
   };
-  ReportEvaluator(threads).run<CellLifetime>(
-      first.cell_count(),
-      [&] { return CellEval{segments, model, {}}; },
+  ReportEvaluator(threads).run_timeline(
+      segments,
       [&](std::size_t cell, const CellLifetime& value) {
         if (value.used) builder.add_cell(cell, value.years);
-      });
+      },
+      TimelineEval{TimelineKey::kCounters,
+                   [&] { return HistoryEval{segments, model, {}}; }});
   return builder.finish();
 }
 

@@ -210,17 +210,13 @@ AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
     return aging_report_batched(first, bound, options);
   }
   ReportBuilder builder(first.cell_count(), first.regions(), options);
-  // With several segments the balanced reference depends on each cell's
-  // residency weights and must be composed per cell. Per-shard evaluation
-  // state: the gathered stress history and its balanced-duty twin are
-  // scratch buffers reused across the shard's cells, so each shard owns
-  // its own pair.
-  struct CellEval {
+  // Per-shard evaluation state: the gathered stress history is scratch
+  // reused across the shard's distinct histories.
+  struct HistoryEval {
     std::span<const EnvironmentSegmentView> segments;
     const DeviceAgingModel& model;
-    const AgingReportOptions& options;
+    double years;
     std::vector<StressSegment> history;
-    std::vector<StressSegment> balanced;
 
     CellAging operator()(std::size_t cell) {
       const CellResidency residency =
@@ -228,23 +224,40 @@ AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
       if (residency.total == 0) return {};
       const double duty = static_cast<double>(residency.ones) /
                           static_cast<double>(residency.total);
-      const double snm = model.degradation_on_timeline(history, options.years);
-      // The minimum achievable degradation for *this* cell: balanced duty
-      // under the same environment exposure.
-      balanced = history;
-      for (StressSegment& segment : balanced) segment.duty = 0.5;
-      const double optimal =
-          model.degradation_on_timeline(balanced, options.years);
-      return {duty, snm, optimal, true};
+      return {duty, model.degradation_on_timeline(history, years), 0.0, true};
+    }
+  };
+  // The minimum achievable degradation for a cell: balanced duty under the
+  // same environment exposure. It depends on the residency weights alone,
+  // so it is keyed on the per-segment totals.
+  struct BalancedEval {
+    std::span<const EnvironmentSegmentView> segments;
+    const DeviceAgingModel& model;
+    double years;
+    std::vector<StressSegment> history;
+
+    double operator()(std::size_t cell) {
+      if (gather_cell_segments(segments, cell, history).total == 0) return 0.0;
+      for (StressSegment& segment : history) segment.duty = 0.5;
+      return model.degradation_on_timeline(history, years);
     }
   };
   ReportEvaluator(options.threads)
-      .run<CellAging>(
-          first.cell_count(),
-          [&] { return CellEval{segments, model, options, {}, {}}; },
-          [&](std::size_t cell, const CellAging& value) {
+      .run_timeline(
+          segments,
+          [&](std::size_t cell, CellAging value, double optimal) {
+            value.optimal = optimal;
             fold_cell(builder, cell, value);
-          });
+          },
+          TimelineEval{TimelineKey::kCounters,
+                       [&] {
+                         return HistoryEval{segments, model, options.years,
+                                            {}};
+                       }},
+          TimelineEval{TimelineKey::kTotals, [&] {
+                         return BalancedEval{segments, model, options.years,
+                                             {}};
+                       }});
   return builder.finish();
 }
 

@@ -238,20 +238,34 @@ TEST(Executor, ReportEvaluatorFoldIsInvariantAcrossExecutorSizes) {
   // size, because the shard partition depends only on the budget. Uses the
   // session executor via configure_session — legal here because the
   // session is idle between runs.
-  const auto fold_hash = [] {
+  // Two segments in which every cell has its own residency tuple, so a
+  // value computed from the representative cell is a pure function of
+  // the tuple.
+  std::vector<aging::EnvironmentSegment> owned;
+  for (std::uint32_t segment = 0; segment < 2; ++segment) {
+    aging::DutyCycleTracker tracker(1000);
+    for (std::size_t cell = 0; cell < 1000; ++cell)
+      tracker.add_total_time(cell,
+                             static_cast<std::uint32_t>(cell) + 1 + segment);
+    owned.push_back(aging::EnvironmentSegment{std::move(tracker), {}});
+  }
+  const std::vector<aging::EnvironmentSegmentView> segments =
+      aging::segment_views(owned);
+  const auto fold_hash = [&] {
     aging::ReportEvaluator evaluator(4);  // fixed budget — NOT the variable
     std::uint64_t hash = 0xcbf29ce484222325ULL;
-    evaluator.run<std::uint64_t>(
-        1000,
-        [] {
-          return [](std::size_t cell) {
-            return static_cast<std::uint64_t>(cell) * 2654435761u;
-          };
-        },
+    evaluator.run_timeline(
+        segments,
         [&hash](std::size_t cell, std::uint64_t value) {
           hash ^= cell * 0x9e3779b97f4a7c15ULL + value;
           hash *= 0x100000001b3ULL;
-        });
+        },
+        aging::TimelineEval{aging::TimelineKey::kCounters, [] {
+                              return [](std::size_t cell) {
+                                return static_cast<std::uint64_t>(cell) *
+                                       2654435761u;
+                              };
+                            }});
     return hash;
   };
   Executor::configure_session(1);

@@ -256,15 +256,30 @@ TEST(ReportEvaluator, BlockedRunFoldsEveryCellInOrderForAnyShardCount) {
 }
 
 TEST(ReportEvaluator, FoldsEveryCellInOrderForAnyShardCount) {
+  const std::size_t cells = 37;  // not divisible by any shard count below
+  // Every cell carries its own residency tuple, so each cell is its own
+  // distinct history and cell * cell is a pure function of the tuple.
+  std::vector<EnvironmentSegment> owned;
+  for (std::uint32_t segment = 0; segment < 2; ++segment) {
+    DutyCycleTracker tracker(cells);
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      tracker.add_total_time(cell, static_cast<std::uint32_t>(cell) + 1);
+      tracker.add_ones_time(cell, segment);
+    }
+    owned.push_back(EnvironmentSegment{std::move(tracker), kNominal});
+  }
+  const std::vector<EnvironmentSegmentView> segments = segment_views(owned);
   for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
-    const std::size_t cells = 37;  // not divisible by any shard count above
     std::vector<std::size_t> order;
-    ReportEvaluator(threads).run<std::size_t>(
-        cells, [&] { return [](std::size_t cell) { return cell * cell; }; },
+    ReportEvaluator(threads).run_timeline(
+        segments,
         [&](std::size_t cell, std::size_t value) {
           EXPECT_EQ(value, cell * cell);
           order.push_back(cell);
-        });
+        },
+        TimelineEval{TimelineKey::kCounters, [] {
+                       return [](std::size_t cell) { return cell * cell; };
+                     }});
     ASSERT_EQ(order.size(), cells) << threads << " threads";
     for (std::size_t i = 0; i < cells; ++i) EXPECT_EQ(order[i], i);
   }
