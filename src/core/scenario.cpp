@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <map>
@@ -10,6 +11,7 @@
 #include "core/policy_engine.hpp"
 #include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
+#include "core/stream_pool.hpp"
 #include "core/workload.hpp"
 #include "dnn/model_zoo.hpp"
 #include "quant/word_codec.hpp"
@@ -274,22 +276,15 @@ std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
   return hash;
 }
 
-}  // namespace
-
-std::string simulation_fingerprint(const ScenarioSpec& spec) {
-  // Canonical text over the stream-affecting fields. Every ScenarioSpec
-  // member is either serialized here or listed as evaluation-only in the
-  // header comment; the field-inventory test pins the struct sizes so an
-  // unclassified addition fails loudly.
-  std::string text;
-  text.reserve(256);
-  fingerprint_field(text, "v", std::uint64_t{1});
+/// The stream-config block shared by the simulation fingerprint and the
+/// stream key: the quantisation format, the hardware kind and the fields
+/// of the *active* hardware config — the dormant one is dead state.
+/// cache_encoded_rows is left out: payload memoisation changes wall time,
+/// never the written bits (stream_keys adds it on its own).
+void append_stream_config(std::string& text, const ScenarioSpec& spec) {
   fingerprint_field(text, "format", quant::to_string(spec.format));
   fingerprint_field(text, "hardware", to_string(spec.hardware));
   switch (spec.hardware) {
-    // Only the *active* hardware config is hashed — the dormant one is
-    // dead state. cache_encoded_rows is excluded from both: payload
-    // memoisation changes wall time, never the written bits.
     case HardwareKind::kBaseline:
       fingerprint_field(text, "hw.wmem", spec.baseline.weight_memory_bytes);
       fingerprint_field(text, "hw.amem",
@@ -307,6 +302,43 @@ std::string simulation_fingerprint(const ScenarioSpec& spec) {
       fingerprint_field(text, "hw.amem", spec.npu.activation_memory_bytes);
       break;
   }
+}
+
+}  // namespace
+
+std::vector<std::string> stream_keys(const ScenarioSpec& spec) {
+  // The fingerprint's stream-config block plus what it leaves out on
+  // purpose: cache_encoded_rows decides whether the pooled stream holds
+  // its payloads, so streams that differ in it must not share an entry.
+  std::string config;
+  append_stream_config(config, spec);
+  fingerprint_field(config, "hw.cache",
+                    spec.hardware == HardwareKind::kBaseline
+                        ? spec.baseline.cache_encoded_rows
+                        : spec.npu.cache_encoded_rows);
+  std::vector<std::string> keys;
+  std::vector<std::string_view> networks;
+  for (const ScenarioPhaseSpec& phase : spec.phases) {
+    if (std::find(networks.begin(), networks.end(), phase.network) !=
+        networks.end())
+      continue;
+    networks.push_back(phase.network);
+    std::string key = config;
+    fingerprint_field(key, "net", phase.network);
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+std::string simulation_fingerprint(const ScenarioSpec& spec) {
+  // Canonical text over the stream-affecting fields. Every ScenarioSpec
+  // member is either serialized here or listed as evaluation-only in the
+  // header comment; the field-inventory test pins the struct sizes so an
+  // unclassified addition fails loudly.
+  std::string text;
+  text.reserve(256);
+  fingerprint_field(text, "v", std::uint64_t{1});
+  append_stream_config(text, spec);
   fingerprint_field(text, "refsim", spec.use_reference_simulator);
   // Phases: network and inference count of every phase in order — dormant
   // phases included, because per-phase policy randomness derives from the
@@ -367,51 +399,58 @@ std::string simulation_fingerprint(const ScenarioSpec& spec) {
 
 namespace {
 
+/// Build one network's stream pipeline for the spec's format and hardware
+/// config. Touches no executor (see StreamPool::acquire).
+StreamPool::PipelinePtr build_stream_pipeline(const ScenarioSpec& spec,
+                                              const std::string& network) {
+  auto pipeline = std::make_shared<StreamPipeline>();
+  pipeline->network =
+      std::make_unique<dnn::Network>(dnn::make_network(network));
+  pipeline->streamer = std::make_unique<dnn::WeightStreamer>(*pipeline->network);
+  pipeline->codec = std::make_unique<quant::WeightWordCodec>(
+      *pipeline->streamer, spec.format);
+  switch (spec.hardware) {
+    case HardwareKind::kBaseline:
+      pipeline->stream = std::make_unique<sim::BaselineWeightStream>(
+          *pipeline->codec, spec.baseline);
+      break;
+    case HardwareKind::kTpuNpu:
+      pipeline->stream =
+          std::make_unique<sim::NpuWeightStream>(*pipeline->codec, spec.npu);
+      break;
+  }
+  return pipeline;
+}
+
 /// Simulate the spec's write stream end-to-end and commit the duty state:
-/// build the per-network pipelines (hardware config shared, so all phases
-/// target the same physical memory), resolve the region → policy table,
-/// run the phased simulation and strip the result down to what evaluation
-/// needs — geometry, region tags and the per-segment trackers. This is
-/// the expensive half of run_scenario and the unit the SimCache shares
-/// across points.
+/// take the per-network pipelines from `pool` (hardware config shared, so
+/// all phases target the same physical memory), resolve the region →
+/// policy table, run the phased simulation and strip the result down to
+/// what evaluation needs — geometry, region tags and the per-segment
+/// trackers. This is the expensive half of run_scenario and the unit the
+/// SimCache shares across points.
 std::shared_ptr<const SimulationState> simulate_scenario(
-    const ScenarioSpec& spec) {
-  // Build one (network, streamer, codec, stream) pipeline per distinct
-  // network; phases referencing the same network share it.
-  struct NetworkPipeline {
-    std::unique_ptr<dnn::Network> network;
-    std::unique_ptr<dnn::WeightStreamer> streamer;
-    std::unique_ptr<quant::WeightWordCodec> codec;
-    std::unique_ptr<sim::WriteStream> stream;
-  };
-  std::map<std::string, NetworkPipeline> pipelines;
+    const ScenarioSpec& spec, StreamPool& pool) {
+  // One pipeline per distinct network, in first-appearance order (the
+  // order of stream_keys); phases referencing the same network share it.
+  std::vector<std::string> keys = stream_keys(spec);
+  const StreamPool::Lease lease = pool.lease(keys);
+  std::map<std::string, StreamPool::PipelinePtr> pipelines;
   unsigned weight_bits = 0;
   for (const ScenarioPhaseSpec& phase : spec.phases) {
     if (pipelines.contains(phase.network)) continue;
-    NetworkPipeline pipeline;
-    pipeline.network =
-        std::make_unique<dnn::Network>(dnn::make_network(phase.network));
-    pipeline.streamer = std::make_unique<dnn::WeightStreamer>(*pipeline.network);
-    pipeline.codec = std::make_unique<quant::WeightWordCodec>(
-        *pipeline.streamer, spec.format);
-    switch (spec.hardware) {
-      case HardwareKind::kBaseline:
-        pipeline.stream = std::make_unique<sim::BaselineWeightStream>(
-            *pipeline.codec, spec.baseline);
-        break;
-      case HardwareKind::kTpuNpu:
-        pipeline.stream = std::make_unique<sim::NpuWeightStream>(
-            *pipeline.codec, spec.npu);
-        break;
-    }
-    weight_bits = pipeline.codec->bits();
+    StreamPool::PipelinePtr pipeline =
+        pool.acquire(keys[pipelines.size()], [&spec, &phase] {
+          return build_stream_pipeline(spec, phase.network);
+        });
+    weight_bits = pipeline->codec->bits();
     pipelines.emplace(phase.network, std::move(pipeline));
   }
 
   const sim::MemoryGeometry geometry =
-      pipelines.at(spec.phases.front().network).stream->geometry();
+      pipelines.at(spec.phases.front().network)->stream->geometry();
   for (const auto& [name, pipeline] : pipelines) {
-    const sim::MemoryGeometry other = pipeline.stream->geometry();
+    const sim::MemoryGeometry other = pipeline->stream->geometry();
     DNNLIFE_EXPECTS(other.rows == geometry.rows &&
                         other.row_bits == geometry.row_bits,
                     "scenario phases disagree on the memory geometry "
@@ -434,7 +473,7 @@ std::shared_ptr<const SimulationState> simulate_scenario(
   std::vector<WorkloadPhase> phases;
   phases.reserve(spec.phases.size());
   for (const ScenarioPhaseSpec& phase : spec.phases)
-    phases.push_back(WorkloadPhase{pipelines.at(phase.network).stream.get(),
+    phases.push_back(WorkloadPhase{pipelines.at(phase.network)->stream.get(),
                                    phase.inferences, phase.environment});
 
   WorkloadOptions options;
@@ -527,8 +566,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunScenarioOptions& options) {
   DNNLIFE_EXPECTS(!spec.phases.empty(), "scenario needs at least one phase");
+  // Without a sweep's pool the scenario builds its streams in its own:
+  // one code path, each distinct network still built once.
+  StreamPool local_pool;
+  StreamPool& pool = options.stream_pool ? *options.stream_pool : local_pool;
   if (!options.sim_cache && !options.sim_store)
-    return evaluate_scenario(spec, *simulate_scenario(spec));
+    return evaluate_scenario(spec, *simulate_scenario(spec, pool));
   const std::string fingerprint = simulation_fingerprint(spec);
   SimCache::StatePtr state =
       options.sim_cache ? options.sim_cache->lookup(fingerprint) : nullptr;
@@ -542,7 +585,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     // memory insert — the SweepScheduler releases parked same-fingerprint
     // siblings only after this call returns, so by then the entry is
     // durable and visible to sibling shards sharing the directory.
-    state = simulate_scenario(spec);
+    state = simulate_scenario(spec, pool);
     if (options.sim_store) options.sim_store->publish(fingerprint, *state);
   }
   if (options.sim_cache) {

@@ -114,7 +114,16 @@ class SimCache;  // core/sim_cache.hpp
 /// sizes so an unclassified addition fails the build's test suite.
 std::string simulation_fingerprint(const ScenarioSpec& spec);
 
-class SimStore;  // core/sim_store.hpp
+/// The stream keys of a spec: one per distinct phase network, in order of
+/// first appearance. A key is the simulation fingerprint's stream-config
+/// block (format, hardware kind, active hardware config) plus the active
+/// config's cache_encoded_rows and the network name — everything the
+/// built write stream depends on (see core/stream_pool.hpp). Plain text,
+/// not a hash, so equal keys mean equal streams exactly.
+std::vector<std::string> stream_keys(const ScenarioSpec& spec);
+
+class SimStore;    // core/sim_store.hpp
+class StreamPool;  // core/stream_pool.hpp
 
 struct RunScenarioOptions {
   /// Shared duty-state cache. Non-null: look up the spec's fingerprint
@@ -128,10 +137,15 @@ struct RunScenarioOptions {
   /// directory reuse committed duty state across processes. Results stay
   /// byte-identical to the store-off path.
   std::shared_ptr<SimStore> sim_store;
+  /// Stream pool shared across a sweep's points (core/stream_pool.hpp):
+  /// points with equal stream keys simulate against one built stream.
+  /// Null: a pool local to this call, so each distinct network is still
+  /// built once per scenario. Results are byte-identical either way.
+  std::shared_ptr<StreamPool> stream_pool;
 };
 
-/// Cache-aware run_scenario. With a null cache and store this is exactly
-/// the plain overload.
+/// Cache-aware run_scenario. With a null cache, store and pool this is
+/// exactly the plain overload.
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunScenarioOptions& options);
 

@@ -107,7 +107,7 @@ std::string ScenarioSuite::manifest_hash() const {
 }
 
 std::vector<SuiteOutcome> ScenarioSuite::run(
-    const SuiteRunOptions& options) const {
+    const SuiteRunOptions& options, StreamPoolStats* stream_stats) const {
   std::vector<std::size_t> selection =
       shard_selection(entries_.size(), options.shard);
   if (options.journal != nullptr) {
@@ -135,6 +135,7 @@ std::vector<SuiteOutcome> ScenarioSuite::run(
   }
   std::vector<SuiteOutcome> outcomes;
   outcomes.reserve(selection.size());
+  if (stream_stats != nullptr) *stream_stats = StreamPoolStats{};
   if (selection.empty()) return outcomes;
 
   // The batch runner is a thin loop over the incremental scheduler: submit
@@ -155,13 +156,17 @@ std::vector<SuiteOutcome> ScenarioSuite::run(
   scheduler_options.sim_cache = options.sim_cache;
   scheduler_options.sim_store = options.sim_store;
   SweepScheduler scheduler(std::move(scheduler_options));
-  std::vector<SweepScheduler::Handle> handles;
-  handles.reserve(selection.size());
-  for (const std::size_t index : selection)
-    handles.push_back(scheduler.submit(entries_[index], index));
+  std::vector<SuiteEntry> batch;
+  batch.reserve(selection.size());
+  for (const std::size_t index : selection) batch.push_back(entries_[index]);
+  // One batch, so the whole selection leases its streams before any point
+  // finishes: each distinct stream is built once per run.
+  std::vector<SweepScheduler::Handle> handles =
+      scheduler.submit_batch(std::move(batch), selection);
   scheduler.wait_all();
   for (SweepScheduler::Handle& handle : handles)
     outcomes.push_back(handle.take_outcome());
+  if (stream_stats != nullptr) *stream_stats = scheduler.stream_pool_stats();
   return outcomes;
 }
 

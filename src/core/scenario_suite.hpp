@@ -34,6 +34,7 @@
 #include "core/scenario.hpp"
 #include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
+#include "core/stream_pool.hpp"
 
 namespace dnnlife::util {
 class JsonValue;
@@ -176,8 +177,12 @@ class ScenarioSuite {
 
   /// Run the shard's scenarios, `jobs` at a time. Outcomes are returned in
   /// suite order regardless of completion order (each job fills its own
-  /// slot), carrying their global suite index.
-  std::vector<SuiteOutcome> run(const SuiteRunOptions& options = {}) const;
+  /// slot), carrying their global suite index. Each run has its own stream
+  /// pool (core/stream_pool.hpp), empty at the start like a fresh sweep
+  /// process; `stream_stats`, when given, receives its counters at the end
+  /// (builds = the selection's distinct stream keys).
+  std::vector<SuiteOutcome> run(const SuiteRunOptions& options = {},
+                                StreamPoolStats* stream_stats = nullptr) const;
 
  private:
   std::vector<SuiteEntry> entries_;

@@ -13,6 +13,7 @@
 
 #include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
+#include "core/stream_pool.hpp"
 #include "core/sweep_journal.hpp"
 #include "util/executor.hpp"
 #include "util/table.hpp"
@@ -116,6 +117,9 @@ struct SweepScheduler::PointState {
   /// True while this point owns its fingerprint group: it simulates, and
   /// same-fingerprint submissions park behind it until it completes.
   bool leads = false;
+  /// Keeps the point's streams resident in the scheduler's pool while it
+  /// is queued, parked or running; dropped when it finishes.
+  StreamPool::Lease stream_lease;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -209,6 +213,9 @@ struct SweepScheduler::Impl {
   Options options;
   util::Executor* executor;
   unsigned jobs;
+  /// One pool per scheduler, so every sweep starts with no streams built.
+  /// Declared before `group` so it outlives every point task.
+  std::shared_ptr<StreamPool> stream_pool = std::make_shared<StreamPool>();
   util::TaskGroup group;
 
   // Recursive: the progress callback runs under it (serialized, like the
@@ -231,6 +238,8 @@ struct SweepScheduler::Impl {
 };
 
 void SweepScheduler::Impl::run_point(PointState& state) {
+  // Released under `mutex` below; the local owner also covers unwinding.
+  StreamPool::Lease stream_lease = std::move(state.stream_lease);
   const SuiteEntry& entry = state.entry;
   SuiteOutcome outcome;
   outcome.index = state.index;
@@ -247,6 +256,7 @@ void SweepScheduler::Impl::run_point(PointState& state) {
   RunScenarioOptions run_options;
   run_options.sim_cache = options.sim_cache;
   run_options.sim_store = options.sim_store;
+  run_options.stream_pool = stream_pool;
   AttemptOutcome last;
   unsigned attempt = 1;
   for (;; ++attempt) {
@@ -289,6 +299,10 @@ void SweepScheduler::Impl::run_point(PointState& state) {
   state.cv.notify_all();
   {
     const std::lock_guard<std::recursive_mutex> lock(mutex);
+    // Under `mutex`, so a batch submission (which holds it) has leased
+    // every point's streams before any of its points can drop the last
+    // lease of a shared key.
+    stream_lease.reset();
     ++fresh_completed;
     if (options.progress) {
       // Serialized by `mutex`, like the suite runner's progress path.
@@ -376,6 +390,8 @@ SweepScheduler::Handle SweepScheduler::submit_locked(SuiteEntry entry,
     return Handle(std::move(state));
   }
   ++impl_->fresh_submitted;
+  state->stream_lease =
+      impl_->stream_pool->lease(stream_keys(state->entry.spec));
   if (impl_->options.sim_cache != nullptr ||
       impl_->options.sim_store != nullptr) {
     // Single-flight grouping: the first point of a fingerprint whose
@@ -424,7 +440,24 @@ SweepScheduler::Handle SweepScheduler::submit(ScenarioSpec spec) {
   return submit_locked(std::move(entry), impl_->next_index);
 }
 
+std::vector<SweepScheduler::Handle> SweepScheduler::submit_batch(
+    std::vector<SuiteEntry> entries,
+    std::span<const std::size_t> global_indices) {
+  DNNLIFE_EXPECTS(entries.size() == global_indices.size(),
+                  "submit_batch needs one global index per entry");
+  std::vector<Handle> handles;
+  handles.reserve(entries.size());
+  const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
+  for (std::size_t i = 0; i < entries.size(); ++i)
+    handles.push_back(submit_locked(std::move(entries[i]), global_indices[i]));
+  return handles;
+}
+
 void SweepScheduler::wait_all() { impl_->group.wait(); }
+
+StreamPoolStats SweepScheduler::stream_pool_stats() const {
+  return impl_->stream_pool->stats();
+}
 
 std::size_t SweepScheduler::submitted() const {
   const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);

@@ -19,6 +19,12 @@
 // completion *help* the executor (run pending tasks) instead of sleeping,
 // so polling a handle from a worker cannot deadlock the pool.
 //
+// Stream reuse: the scheduler owns one core::StreamPool, passed to every
+// point through RunScenarioOptions. A fresh point leases its stream keys
+// at submit and drops the lease when it finishes, so each distinct stream
+// is built once while any queued or running point needs it and is freed
+// after (see core/stream_pool.hpp). Replayed points lease nothing.
+//
 // Journal integration matches the suite runner: fresh outcomes are
 // appended (flushed) before they are announced, and submitting an index
 // the journal already holds yields an immediately-done "replayed" Handle
@@ -29,8 +35,11 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/scenario_suite.hpp"
+#include "core/stream_pool.hpp"
 
 namespace dnnlife::util {
 class Executor;
@@ -147,6 +156,13 @@ class SweepScheduler {
   /// the spec's name.
   Handle submit(ScenarioSpec spec);
 
+  /// Submit `entries[i]` at `global_indices[i]` for every i, atomically:
+  /// no point of the batch can finish before all of them are queued, so
+  /// streams shared within the batch stay pooled across it and are built
+  /// once each. Per-point rules as submit().
+  std::vector<Handle> submit_batch(std::vector<SuiteEntry> entries,
+                                   std::span<const std::size_t> global_indices);
+
   /// Block until every submitted point has finished (helping the executor
   /// while blocked); rethrows the first infrastructure error any point
   /// task raised (scenario *failures* are outcomes, not exceptions).
@@ -158,6 +174,11 @@ class SweepScheduler {
   /// Fresh (non-replayed) points submitted / finished so far.
   std::size_t submitted() const;
   std::size_t completed() const;
+
+  /// Counters of this scheduler's stream pool. After wait_all() nothing is
+  /// leased or resident: streams live only while a queued or running
+  /// point needs them.
+  StreamPoolStats stream_pool_stats() const;
 
  private:
   struct Impl;

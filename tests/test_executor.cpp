@@ -11,6 +11,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -163,6 +164,8 @@ TEST(Executor, WorkerBlockedInWaitExecutesSubtasksAtSizeOne) {
   std::thread::id outer_thread;
   std::set<std::thread::id> inner_threads;
   std::mutex inner_mutex;
+  std::promise<void> outer_done;
+  std::future<void> outer_finished = outer_done.get_future();
   TaskGroup outer(executor);
   outer.submit(Task([&] {
     outer_thread = std::this_thread::get_id();
@@ -174,7 +177,13 @@ TEST(Executor, WorkerBlockedInWaitExecutesSubtasksAtSizeOne) {
         inner_threads.insert(std::this_thread::get_id());
       }));
     inner.wait();
+    outer_done.set_value();
   }));
+  // Block WITHOUT helping until the outer task is done. outer.wait() alone
+  // helps from this (non-worker) thread, so it could run the outer task
+  // itself or steal inner tasks, and the single worker's wait would not
+  // be what ran them.
+  outer_finished.wait();
   outer.wait();
   EXPECT_EQ(inner_hits.load(), 8);
   ASSERT_EQ(inner_threads.size(), 1u);
