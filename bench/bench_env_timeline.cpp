@@ -126,13 +126,14 @@ int main(int argc, char** argv) {
     for (const auto& [label, phases] : timelines) {
       const core::PhasedWorkloadResult phased =
           core::simulate_workload_phased(phases, table);
+      const std::vector<aging::EnvironmentSegmentView> segments =
+          aging::segment_views(phased.segments);
       const auto report_start = std::chrono::steady_clock::now();
-      const auto report =
-          make_aging_report(phased.segments, *model, report_options);
+      const auto report = make_aging_report(segments, *model, report_options);
       const double report_seconds = seconds_since(report_start);
       const auto lifetime_start = std::chrono::steady_clock::now();
       const auto lifetime =
-          make_lifetime_report(phased.segments, lifetime_model, threads);
+          make_lifetime_report(segments, lifetime_model, threads);
       const double lifetime_seconds = seconds_since(lifetime_start);
       timing.report_seconds += report_seconds;
       timing.lifetime_seconds += lifetime_seconds;
@@ -144,8 +145,7 @@ int main(int argc, char** argv) {
       std::vector<aging::StressSegment> history;
       const std::size_t cells = phased.segments.front().tracker.cell_count();
       for (std::size_t cell = 0; cell < cells; ++cell) {
-        if (aging::gather_cell_segments(phased.segments, cell, history)
-                .total == 0)
+        if (aging::gather_cell_segments(segments, cell, history).total == 0)
           continue;
         min_years =
             std::min(min_years, lifetime_model.years_to_failure(history));

@@ -15,6 +15,7 @@
 //   --csv=PATH           export the per-region lifetime breakdown as CSV
 // Defaults: custom_mnist int8-symmetric npu 100.
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,9 +132,8 @@ int run_audit(int argc, char** argv) {
     const auto tracker = core::simulate_fast(bench.stream(), bound, options);
     // One environment segment: the whole lifetime sits at the audited
     // operating point, evaluated through the registry-selected model.
-    std::vector<aging::EnvironmentSegment> segments;
-    segments.push_back(
-        aging::EnvironmentSegment{tracker, config.environment});
+    const aging::EnvironmentSegmentView segment{&tracker, config.environment};
+    const std::span<const aging::EnvironmentSegmentView> segments(&segment, 1);
     const auto report =
         make_aging_report(segments, bench.model(), config.report);
     const auto lifetime = make_lifetime_report(segments, lifetime_model);

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "aging/snm_histogram.hpp"
-#include "aging/snm_model.hpp"
 #include "core/workload.hpp"
 #include "dnn/model_zoo.hpp"
 #include "quant/word_codec.hpp"
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
   const sim::NpuWeightStream custom_stream(custom_codec);
   const sim::NpuWeightStream alexnet_stream(alexnet_codec);
 
-  const aging::CalibratedSnmModel model;
+  const aging::CalibratedNbtiDeviceModel model;
   util::Table table({"workload", "policy", "mean SNM [%]", "max SNM [%]",
                      "% optimal"});
   const auto evaluate = [&](const std::string& label,

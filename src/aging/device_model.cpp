@@ -331,14 +331,15 @@ CalibratedNbtiDeviceModel::CalibratedNbtiDeviceModel(SnmParams params)
   DNNLIFE_EXPECTS(params_.snm_at_balanced > 0.0, "balanced anchor");
   DNNLIFE_EXPECTS(params_.snm_at_full_stress > params_.snm_at_balanced,
                   "full-stress anchor must exceed balanced anchor");
-  // Same derivation as CalibratedSnmModel: alpha = log2(S_max / S_mid).
+  // snm(s) = S_max * s^alpha with snm(0.5) = S_mid
+  //   =>  alpha = log2(S_max / S_mid).
   alpha_ = std::log2(params_.snm_at_full_stress / params_.snm_at_balanced);
 }
 
 double CalibratedNbtiDeviceModel::amplitude(double duty,
                                             const EnvironmentSpec& env) const {
   // activity_scale == 1 multiplies by exactly 1.0, keeping the default
-  // environment bit-identical to CalibratedSnmModel.
+  // environment bit-identical to the paper's calibrated power law.
   const double stress = NbtiModel::cell_stress_ratio(duty) * env.activity_scale;
   return params_.snm_at_full_stress * std::pow(stress, alpha_);
 }
@@ -513,12 +514,13 @@ void PbtiHciDeviceModel::degradation_batch(std::span<const double> duties,
 
 // ---- dual BTI as a device model ----------------------------------------------
 
-DualBtiDeviceModel::DualBtiDeviceModel(DualBtiSnmModel::Params params)
+DualBtiDeviceModel::DualBtiDeviceModel(Params params)
     : PowerLawDeviceModel(params.nbti.t_ref_years, params.nbti.time_exponent),
       params_(params) {
   DNNLIFE_EXPECTS(params_.pbti_ratio >= 0.0 && params_.pbti_ratio <= 1.0,
                   "PBTI ratio out of [0,1]");
   const SnmParams& nbti = params_.nbti;
+  DNNLIFE_EXPECTS(nbti.snm_at_balanced > 0.0, "balanced anchor");
   DNNLIFE_EXPECTS(nbti.snm_at_full_stress > nbti.snm_at_balanced,
                   "full-stress anchor must exceed balanced anchor");
   alpha_ = std::log2(nbti.snm_at_full_stress / nbti.snm_at_balanced);
@@ -531,8 +533,10 @@ double DualBtiDeviceModel::amplitude(double duty,
   const auto stress_term = [&](double s) {
     return s <= 0.0 ? 0.0 : std::pow(s, alpha_);
   };
-  // activity_scale == 1 multiplies each stress fraction by exactly 1.0
-  // (bit-identical to DualBtiSnmModel at the nominal environment).
+  // NBTI on the PMOS (stressed while output high) + weaker PBTI on the
+  // NMOS (stressed while output low). activity_scale == 1 multiplies each
+  // stress fraction by exactly 1.0, so the nominal environment is the
+  // plain footnote-1 expression.
   const double a = env.activity_scale;
   const auto inverter = [&](double pmos_duty) {
     return nbti.snm_at_full_stress *

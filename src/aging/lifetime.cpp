@@ -26,7 +26,7 @@ void LifetimeModel::validate_threshold() const {
   // not just the calibration parameter (composite models like dual-bti
   // degrade faster than their NBTI anchor alone).
   const double anchor =
-      model_->snm_degradation(0.5, model_->reference_years());
+      model_->degradation(0.5, model_->reference_years(), EnvironmentSpec{});
   if (params_.snm_failure_threshold > anchor) return;
   std::ostringstream message;
   message.precision(4);
@@ -166,14 +166,6 @@ LifetimeReport make_lifetime_report(const DutyCycleTracker& tracker,
                                     const LifetimeModel& model,
                                     unsigned threads) {
   return lifetime_report_batched(tracker, EnvironmentSpec{}, model, threads);
-}
-
-LifetimeReport make_lifetime_report(std::span<const EnvironmentSegment> segments,
-                                    const LifetimeModel& model,
-                                    unsigned threads) {
-  return make_lifetime_report(
-      std::span<const EnvironmentSegmentView>(segment_views(segments)), model,
-      threads);
 }
 
 LifetimeReport make_lifetime_report(

@@ -105,16 +105,12 @@ LifetimeReport make_lifetime_report(const DutyCycleTracker& tracker,
                                     unsigned threads = 1);
 
 /// Environment-timeline evaluation: every used cell's lifetime is the
-/// model's years-to-failure over its per-segment stress history. A single
-/// nominal segment reproduces the single-tracker overload bit-identically.
-LifetimeReport make_lifetime_report(std::span<const EnvironmentSegment> segments,
-                                    const LifetimeModel& model,
-                                    unsigned threads = 1);
-
-/// View-based twin of the timeline overload: the primary implementation
-/// (the owned overload borrows its segments and delegates here). This is
-/// what cache-hit scenario evaluation calls with shared tracker state —
-/// identical tracker bits fold to byte-identical reports.
+/// model's years-to-failure over its per-segment stress history. One
+/// segment is the single-operating-point solve under that segment's
+/// environment; a single nominal segment reproduces the single-tracker
+/// overload bit-identically. The segments share tracker state (owned
+/// EnvironmentSegments are borrowed through segment_views), so cache-hit
+/// scenario evaluation folds the exact cached bits.
 LifetimeReport make_lifetime_report(
     std::span<const EnvironmentSegmentView> segments,
     const LifetimeModel& model, unsigned threads = 1);

@@ -69,7 +69,7 @@ AgingModelRegistry::AgingModelRegistry() {
   factories_.emplace_back(
       "dual-bti", [](const SnmParams& snm, const AgingModelParams& params) {
         ModelParamReader reader(params, "dual-bti");
-        DualBtiSnmModel::Params model_params;
+        DualBtiDeviceModel::Params model_params;
         model_params.nbti = snm;
         model_params.pbti_ratio =
             reader.get("pbti_ratio", model_params.pbti_ratio);
@@ -92,17 +92,6 @@ void AgingModelRegistry::add(const std::string& name,
     DNNLIFE_EXPECTS(existing != name,
                     "aging model '" + name + "' is already registered");
   factories_.emplace_back(name, std::move(factory));
-}
-
-void AgingModelRegistry::add(const std::string& name,
-                             LegacyDeviceModelFactory factory) {
-  DNNLIFE_EXPECTS(factory != nullptr, "aging-model factory must not be null");
-  add(name, [name, factory = std::move(factory)](
-                const SnmParams& snm, const AgingModelParams& params) {
-    ModelParamReader reader(params, name);
-    reader.finish();  // a pre-parameter factory exposes no knobs
-    return factory(snm);
-  });
 }
 
 bool AgingModelRegistry::contains(const std::string& name) const {

@@ -132,11 +132,12 @@ void fold_cell(ReportBuilder& builder, std::size_t cell,
 /// Blocked per-shard evaluation state of the single-operating-point aging
 /// report: gather the used cells' duties of one contiguous block, run the
 /// batched forward curve (one duty memo + hoisted time powers per block),
-/// scatter back. snm_degradation_batch is bit-identical to the per-cell
-/// calls, so this changes no report value.
+/// scatter back. degradation_batch is bit-identical to the per-cell calls,
+/// so this changes no report value.
 struct BatchedAgingEval {
   const DutyCycleTracker& tracker;
-  const AgingModel& model;
+  const DeviceAgingModel& model;
+  const EnvironmentSpec& environment;
   double years;
   double optimal;
   std::vector<double> duties;
@@ -147,7 +148,7 @@ struct BatchedAgingEval {
     for (std::size_t cell = begin; cell < end; ++cell)
       if (!tracker.is_unused(cell)) duties.push_back(tracker.duty(cell));
     snm.resize(duties.size());
-    model.snm_degradation_batch(duties, years, snm);
+    model.degradation_batch(duties, years, environment, snm);
     std::size_t next = 0;
     for (std::size_t cell = begin; cell < end; ++cell) {
       if (tracker.is_unused(cell)) {
@@ -162,16 +163,17 @@ struct BatchedAgingEval {
 
 /// The shared blocked driver of both overloads' single-environment paths.
 AgingReport aging_report_batched(const DutyCycleTracker& tracker,
-                                 const AgingModel& model,
+                                 const DeviceAgingModel& model,
+                                 const EnvironmentSpec& environment,
                                  const AgingReportOptions& options) {
   ReportBuilder builder(tracker.cell_count(), tracker.regions(), options);
-  const double optimal = model.snm_degradation(0.5, options.years);
+  const double optimal = model.degradation(0.5, options.years, environment);
   ReportEvaluator(options.threads)
       .run_blocks<CellAging>(
           tracker.cell_count(),
           [&] {
-            return BatchedAgingEval{tracker, model, options.years, optimal,
-                                    {},      {}};
+            return BatchedAgingEval{
+                tracker, model, environment, options.years, optimal, {}, {}};
           },
           [&](std::size_t cell, const CellAging& value) {
             fold_cell(builder, cell, value);
@@ -182,17 +184,9 @@ AgingReport aging_report_batched(const DutyCycleTracker& tracker,
 }  // namespace
 
 AgingReport make_aging_report(const DutyCycleTracker& tracker,
-                              const AgingModel& model,
-                              const AgingReportOptions& options) {
-  return aging_report_batched(tracker, model, options);
-}
-
-AgingReport make_aging_report(std::span<const EnvironmentSegment> segments,
                               const DeviceAgingModel& model,
                               const AgingReportOptions& options) {
-  return make_aging_report(
-      std::span<const EnvironmentSegmentView>(segment_views(segments)), model,
-      options);
+  return aging_report_batched(tracker, model, EnvironmentSpec{}, options);
 }
 
 AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
@@ -204,11 +198,10 @@ AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
   // segment's environment (a used cell's gathered history is exactly one
   // segment at the tracker duty, and degradation_on_timeline
   // short-circuits it to degradation(), bit-identically) — take the
-  // batched path through an environment-bound view.
-  if (segments.size() == 1) {
-    const EnvironmentBoundModel bound(model, segments.front().environment);
-    return aging_report_batched(first, bound, options);
-  }
+  // batched path under that environment.
+  if (segments.size() == 1)
+    return aging_report_batched(first, model, segments.front().environment,
+                                options);
   ReportBuilder builder(first.cell_count(), first.regions(), options);
   // Per-shard evaluation state: the gathered stress history is scratch
   // reused across the shard's distinct histories.

@@ -2,14 +2,12 @@
 // paper's Fig. 9 / Fig. 11 bar graphs show.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
-#include <span>
-
 #include "aging/device_model.hpp"
 #include "aging/duty_cycle.hpp"
-#include "aging/snm_model.hpp"
 #include "util/histogram.hpp"
 #include "util/statistics.hpp"
 
@@ -61,25 +59,21 @@ struct AgingReportOptions {
   unsigned threads = 1;
 };
 
-/// Evaluate every used cell of `tracker` under `model`.
+/// Evaluate every used cell of `tracker` under `model` at the nominal
+/// environment.
 AgingReport make_aging_report(const DutyCycleTracker& tracker,
-                              const AgingModel& model,
+                              const DeviceAgingModel& model,
                               const AgingReportOptions& options = {});
 
 /// Environment-timeline evaluation: every used cell's degradation is the
 /// model's composition over its per-segment stress history (see
 /// DeviceAgingModel::degradation_on_timeline). The "optimal" reference of
 /// each cell is a duty-0.5 cell with the same segment weights and
-/// environments. A single nominal segment reproduces the single-tracker
-/// overload bit-identically.
-AgingReport make_aging_report(std::span<const EnvironmentSegment> segments,
-                              const DeviceAgingModel& model,
-                              const AgingReportOptions& options = {});
-
-/// View-based twin of the timeline overload: the primary implementation
-/// (the owned overload borrows its segments and delegates here). This is
-/// what cache-hit scenario evaluation calls with shared tracker state —
-/// identical tracker bits fold to byte-identical reports.
+/// environments. One segment is the single-operating-point evaluation
+/// under that segment's environment; a single nominal segment reproduces
+/// the single-tracker overload bit-identically. The segments share tracker
+/// state (owned EnvironmentSegments are borrowed through segment_views),
+/// so cache-hit scenario evaluation folds the exact cached bits.
 AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
                               const DeviceAgingModel& model,
                               const AgingReportOptions& options = {});

@@ -2,13 +2,12 @@
 //
 // Every layer of the framework parallelises — suite jobs, the fast
 // simulator's row-parallel commit, report-evaluation shards, policy
-// fan-outs — and before this executor each of them constructed a private
-// util::ThreadPool. A sweep at `--jobs=HW --threads=HW` therefore
-// oversubscribed the machine by up to jobs x threads, while a
-// single-scenario tail left most cores idle. The Executor replaces all of
-// those pools with one process-wide set of workers sized once
-// (DNNLIFE_EXECUTOR_THREADS / --executor-threads); the old per-call thread
-// counts become concurrency *budgets* on that shared set.
+// fan-outs. Private fixed-size worker pools per layer would oversubscribe
+// the machine: a sweep at `--jobs=HW --threads=HW` would run up to
+// jobs x threads workers, while a single-scenario tail would leave most
+// cores idle. The Executor is instead one process-wide set of workers
+// sized once (DNNLIFE_EXECUTOR_THREADS / --executor-threads); per-call
+// thread counts are concurrency *budgets* on that shared set.
 //
 // Design:
 //  * Per-worker Chase-Lev-style deques (Le et al., "Correct and Efficient
@@ -298,8 +297,7 @@ class TaskGroup {
 
   /// Item submission under a concurrency budget: run fn(index) for every
   /// index in [0, n), at most `budget` concurrently (a budget of 0 means
-  /// the hardware count — the per-call ThreadPool sizes the old code used
-  /// become budgets here). One allocation, min(budget, n) pushes.
+  /// the hardware count). One allocation, min(budget, n) pushes.
   template <class Fn>
   void submit_items(std::size_t n, unsigned budget, Fn&& fn) {
     if (n == 0) return;

@@ -1,98 +1,19 @@
-// DEPRECATED — scheduled for removal. Compatibility layer over
-// util/executor.hpp.
+// Sharded parallel-for over the session executor (util/executor.hpp).
 //
-// ThreadPool used to be a private fixed-size worker pool; every layer of
-// the stack constructed its own, so nested fan-outs oversubscribed the
-// machine by jobs x threads. It is now a thin shim: the `thread_count`
-// becomes a concurrency *budget* on the process-wide work-stealing
-// executor (Executor::session()), and no threads are spawned here at all.
-//
-// As of the sim-cache PR no production code constructs a ThreadPool — the
-// only remaining references are its own shim tests (test_util_parallel,
-// test_executor) and bench_executor's embedded legacy copy. The class is
-// kept solely as a grace period for out-of-tree callers and will be
-// deleted (together with the pool-taking parallel_for_shards overload)
-// once one release has shipped with this notice. New code must use
-// util::TaskGroup / TaskGroup::submit_bulk directly; the free-function
-// parallel_for_shards(n, threads, fn) below is NOT deprecated and stays.
-//
-// Determinism is unchanged: tasks land results in disjoint slots, the
-// shard partition below depends only on (n, shards), and per-shard RNG
-// streams are derived with util::derive_seed — results are bit-identical
-// for any thread count and any executor size.
+// Determinism: the shard partition depends only on (n, threads), never on
+// the executor size, and shards land results in disjoint slots — callers
+// whose per-shard work is a pure function of the item index get
+// bit-identical results for any budget. Fan-outs that need more than a
+// contiguous range split use util::TaskGroup / TaskGroup::submit_bulk
+// directly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 
-#include "util/check.hpp"
 #include "util/executor.hpp"
 
 namespace dnnlife::util {
-
-class ThreadPool;
-
-template <class Fn>
-void parallel_for_shards(ThreadPool& pool, std::uint64_t n, unsigned shards,
-                         Fn&& fn);
-
-/// Deprecated shim: submits to the session executor under a concurrency
-/// budget of `thread_count` instead of owning threads. Semantics match the
-/// old pool where consumers relied on them — submit() then wait(), first
-/// task exception rethrown by wait(), reusable afterwards. FIFO execution
-/// order across workers is NOT preserved (tasks may run in any order);
-/// in-tree callers never depended on it.
-class ThreadPool {
- public:
-  /// `thread_count` 0 means std::thread::hardware_concurrency(). This is
-  /// now a budget: at most this many of the pool's tasks run concurrently
-  /// on the shared executor.
-  explicit ThreadPool(unsigned thread_count = 0)
-      : budget_(resolve_thread_count(thread_count)) {}
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  ~ThreadPool() = default;  // group_ waits for stragglers
-
-  /// The concurrency budget (kept the name so out-of-tree callers compile).
-  unsigned size() const noexcept { return budget_; }
-
-  void submit(std::function<void()> task) {
-    DNNLIFE_EXPECTS(task != nullptr, "empty task");
-    group_.submit(Task(std::move(task)));
-  }
-
-  /// Block until all submitted tasks have finished; rethrow the first
-  /// exception any of them raised. Runs pending executor work while
-  /// blocked, so shimmed pools still compose with nested fan-outs.
-  void wait() { group_.wait(); }
-
- private:
-  template <class Fn>
-  friend void parallel_for_shards(ThreadPool&, std::uint64_t, unsigned, Fn&&);
-
-  unsigned budget_;
-  TaskGroup group_;
-};
-
-/// Run fn(shard, begin, end) over [0, n) split into `shards` contiguous
-/// ranges on the session executor; blocks until all shards finish. Kept
-/// for compatibility — the pool only contributes its budget; prefer
-/// TaskGroup::submit_bulk.
-template <class Fn>
-void parallel_for_shards(ThreadPool& pool, std::uint64_t n, unsigned shards,
-                         Fn&& fn) {
-  DNNLIFE_EXPECTS(shards >= 1, "need at least one shard");
-  if (n == 0) return;
-  if (shards == 1) {
-    fn(0u, std::uint64_t{0}, n);
-    return;
-  }
-  pool.group_.submit_bulk(n, shards, pool.budget_, std::forward<Fn>(fn));
-  pool.group_.wait();
-}
 
 /// Run fn(shard, begin, end) over [0, n) split into min(threads, n)
 /// contiguous ranges. `threads` is a concurrency budget on the session

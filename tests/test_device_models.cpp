@@ -15,6 +15,7 @@
 #include "aging/device_model.hpp"
 #include "aging/lifetime.hpp"
 #include "aging/model_registry.hpp"
+#include "aging/nbti_model.hpp"
 #include "aging/snm_histogram.hpp"
 #include "core/fast_simulator.hpp"
 #include "core/workload.hpp"
@@ -97,27 +98,28 @@ struct GoldenPin {
   std::uint64_t lifetime_hash;
 };
 
-/// Hashes captured from the pre-refactor build (the hardcoded
-/// CalibratedSnmModel → LifetimeModel chain), default report options.
+/// Hashes captured from the pre-refactor build (the hardcoded NBTI → SNM
+/// → lifetime chain), default report options.
 void check_golden(const DutyCycleTracker& tracker, const GoldenPin& pin) {
   const std::string label = pin.policy.name();
-  // Pre-refactor evaluation path: the legacy AgingModel overloads.
-  const CalibratedSnmModel legacy_model;
-  const auto legacy_report = make_aging_report(tracker, legacy_model);
-  EXPECT_EQ(fnv1a_doubles(report_fields(legacy_report)), pin.aging_hash)
-      << "legacy aging " << label;
-  const LifetimeModel legacy_lifetime;
+  // Single-tracker path: a directly constructed default engine through
+  // the tracker overloads (nominal environment).
+  const CalibratedNbtiDeviceModel direct_model;
+  const auto direct_report = make_aging_report(tracker, direct_model);
+  EXPECT_EQ(fnv1a_doubles(report_fields(direct_report)), pin.aging_hash)
+      << "tracker aging " << label;
+  const LifetimeModel direct_lifetime;
   EXPECT_EQ(fnv1a_doubles(lifetime_fields(
-                make_lifetime_report(tracker, legacy_lifetime))),
+                make_lifetime_report(tracker, direct_lifetime))),
             pin.lifetime_hash)
-      << "legacy lifetime " << label;
+      << "tracker lifetime " << label;
 
-  // New stack: registry-created default engine, evaluated through the
+  // Registry-created default engine, evaluated through the
   // environment-timeline overloads with one nominal segment.
   const std::shared_ptr<const DeviceAgingModel> model =
       make_aging_model(kDefaultAgingModel);
-  std::vector<EnvironmentSegment> segments;
-  segments.push_back(EnvironmentSegment{tracker, kNominal});
+  const std::vector<EnvironmentSegmentView> segments = {
+      EnvironmentSegmentView{&tracker, kNominal}};
   EXPECT_EQ(fnv1a_doubles(report_fields(make_aging_report(segments, *model))),
             pin.aging_hash)
       << "device-model aging " << label;
@@ -162,15 +164,45 @@ TEST(DeviceModelGolden, DefaultEngineMatchesPreRefactorMnistReports) {
     check_golden(core::simulate_fast(stream, pin.policy, {8, 1}), pin);
 }
 
+/// The paper's calibrated power law exactly as the pre-registry
+/// CalibratedSnmModel evaluated it (alpha derived once from the anchors) —
+/// the reference the default engine stays bit-identical to.
+double calibrated_snm_reference(double duty, double years) {
+  const SnmParams params;
+  const double alpha =
+      std::log2(params.snm_at_full_stress / params.snm_at_balanced);
+  const double stress = NbtiModel::cell_stress_ratio(duty);
+  return params.snm_at_full_stress * std::pow(stress, alpha) *
+         std::pow(years / params.t_ref_years, params.time_exponent);
+}
+
+/// The footnote-1 NBTI + PBTI expression exactly as the pre-registry
+/// DualBtiSnmModel evaluated it at its default parameters.
+double dual_bti_reference(double duty, double years) {
+  const SnmParams nbti;
+  const double pbti_ratio = 0.3;
+  const double alpha =
+      std::log2(nbti.snm_at_full_stress / nbti.snm_at_balanced);
+  const double time_factor =
+      std::pow(years / nbti.t_ref_years, nbti.time_exponent);
+  const auto stress_term = [&](double s) {
+    return s <= 0.0 ? 0.0 : std::pow(s, alpha);
+  };
+  const auto inverter = [&](double pmos_stress) {
+    return nbti.snm_at_full_stress *
+           (stress_term(pmos_stress) +
+            pbti_ratio * stress_term(1.0 - pmos_stress));
+  };
+  return std::max(inverter(duty), inverter(1.0 - duty)) * time_factor;
+}
+
 TEST(DeviceModelGolden, DefaultModelBitIdenticalToCalibratedSnmModel) {
-  const CalibratedSnmModel legacy;
   const CalibratedNbtiDeviceModel device;
   const ArrheniusNbtiDeviceModel arrhenius;  // nominal factors are exactly 1
   for (int d = 0; d <= 20; ++d) {
     const double duty = 0.05 * d;
     for (const double years : {0.0, 1.0, 3.5, 7.0, 20.0}) {
-      const double expected = legacy.snm_degradation(duty, years);
-      EXPECT_EQ(device.snm_degradation(duty, years), expected);
+      const double expected = calibrated_snm_reference(duty, years);
       EXPECT_EQ(device.degradation(duty, years, kNominal), expected);
       EXPECT_EQ(arrhenius.degradation(duty, years, kNominal), expected);
     }
@@ -178,13 +210,12 @@ TEST(DeviceModelGolden, DefaultModelBitIdenticalToCalibratedSnmModel) {
 }
 
 TEST(DeviceModelGolden, DualBtiDeviceModelMatchesDualBtiSnmModel) {
-  const DualBtiSnmModel legacy;
   const DualBtiDeviceModel device;
   for (int d = 0; d <= 10; ++d) {
     const double duty = 0.1 * d;
     for (const double years : {1.0, 7.0, 12.0})
       EXPECT_EQ(device.degradation(duty, years, kNominal),
-                legacy.snm_degradation(duty, years));
+                dual_bti_reference(duty, years));
   }
 }
 
@@ -205,8 +236,17 @@ TEST(AgingModelRegistry, CreateHonoursCalibration) {
   snm.snm_at_full_stress = 30.0;
   const auto model = make_aging_model(kDefaultAgingModel, snm);
   EXPECT_EQ(model->name(), "calibrated-nbti");
-  EXPECT_DOUBLE_EQ(model->snm_degradation(1.0, snm.t_ref_years), 30.0);
-  EXPECT_NEAR(model->snm_degradation(0.5, snm.t_ref_years), 9.0, 1e-9);
+  EXPECT_DOUBLE_EQ(model->degradation(1.0, snm.t_ref_years, kNominal), 30.0);
+  EXPECT_NEAR(model->degradation(0.5, snm.t_ref_years, kNominal), 9.0, 1e-9);
+}
+
+TEST(AgingModelRegistry, DualBtiRejectsNonPositiveBalancedAnchor) {
+  for (const double balanced : {0.0, -1.0}) {
+    SnmParams snm;
+    snm.snm_at_balanced = balanced;
+    EXPECT_THROW(make_aging_model("dual-bti", snm), std::invalid_argument)
+        << balanced;
+  }
 }
 
 TEST(AgingModelRegistry, UnknownNameThrowsListingRegistered) {
@@ -228,17 +268,17 @@ TEST(AgingModelRegistry, CustomModelsPlugIn) {
       return 12.5;  // duty-independent
     }
   };
-  auto& registry = AgingModelRegistry::instance();
-  if (!registry.contains("test-frozen"))
-    registry.add("test-frozen",
-                 [](const SnmParams&) { return std::make_unique<FrozenModel>(); });
-  EXPECT_THROW(registry.add("test-frozen", [](const SnmParams&) {
+  const DeviceModelFactory factory = [](const SnmParams&,
+                                        const AgingModelParams& params) {
+    ModelParamReader(params, "test-frozen").finish();
     return std::make_unique<FrozenModel>();
-  }),
-               std::invalid_argument);
+  };
+  auto& registry = AgingModelRegistry::instance();
+  if (!registry.contains("test-frozen")) registry.add("test-frozen", factory);
+  EXPECT_THROW(registry.add("test-frozen", factory), std::invalid_argument);
   const auto model = make_aging_model("test-frozen");
-  EXPECT_DOUBLE_EQ(model->snm_degradation(0.1, 7.0), 12.5);
-  EXPECT_DOUBLE_EQ(model->snm_degradation(0.9, 7.0), 12.5);
+  EXPECT_DOUBLE_EQ(model->degradation(0.1, 7.0, kNominal), 12.5);
+  EXPECT_DOUBLE_EQ(model->degradation(0.9, 7.0, kNominal), 12.5);
 }
 
 // ---- environment response ----------------------------------------------------
@@ -493,29 +533,27 @@ TEST_F(PhasedWorkloadFixture, HotterPhaseShortensDeviceLifetimeEndToEnd) {
   const std::shared_ptr<const DeviceAgingModel> model =
       make_aging_model("arrhenius-nbti");
   const LifetimeModel lifetime(model);
-  const auto cool_report = make_lifetime_report(
-      core::simulate_workload_phased(cool, table).segments, lifetime);
-  const auto heated_report = make_lifetime_report(
-      core::simulate_workload_phased(heated, table).segments, lifetime);
+  const auto cool_phased = core::simulate_workload_phased(cool, table);
+  const auto heated_phased = core::simulate_workload_phased(heated, table);
+  const auto cool_segments = segment_views(cool_phased.segments);
+  const auto heated_segments = segment_views(heated_phased.segments);
+  const auto cool_report = make_lifetime_report(cool_segments, lifetime);
+  const auto heated_report = make_lifetime_report(heated_segments, lifetime);
   EXPECT_LT(heated_report.device_lifetime_years,
             cool_report.device_lifetime_years);
   // The aging report over the same segments agrees directionally.
-  const auto cool_aging = make_aging_report(
-      core::simulate_workload_phased(cool, table).segments, *model);
-  const auto heated_aging = make_aging_report(
-      core::simulate_workload_phased(heated, table).segments, *model);
+  const auto cool_aging = make_aging_report(cool_segments, *model);
+  const auto heated_aging = make_aging_report(heated_segments, *model);
   EXPECT_GT(heated_aging.snm_stats.mean(), cool_aging.snm_stats.mean());
 }
 
 TEST(SegmentChecks, RejectMismatchedSegments) {
   DutyCycleTracker small(4);
   DutyCycleTracker large(8);
-  std::vector<EnvironmentSegment> segments;
-  segments.push_back(EnvironmentSegment{small, kNominal});
-  segments.push_back(EnvironmentSegment{large, kNominal});
+  const std::vector<EnvironmentSegmentView> segments = {
+      EnvironmentSegmentView{&small, kNominal},
+      EnvironmentSegmentView{&large, kNominal}};
   EXPECT_THROW(check_segments(segments), std::invalid_argument);
-  EXPECT_THROW(check_segments(std::span<const EnvironmentSegment>{}),
-               std::invalid_argument);
   EXPECT_THROW(check_segments(std::span<const EnvironmentSegmentView>{}),
                std::invalid_argument);
 }

@@ -287,8 +287,6 @@ TEST(Executor, ReportEvaluatorFoldIsInvariantAcrossExecutorSizes) {
   EXPECT_EQ(serial, hardware);
 }
 
-// ---- ThreadPool shim ---------------------------------------------------------
-
 TEST(Executor, SessionExecutorIsSharedAndSized) {
   Executor::configure_session(3);
   EXPECT_EQ(Executor::session().workers(), 3u);

@@ -3,7 +3,10 @@
 // qualitative orderings the paper reports.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/experiment.hpp"
+#include "core/fast_simulator.hpp"
 
 namespace dnnlife::core {
 namespace {
@@ -159,28 +162,77 @@ TEST(Experiment, HardwareKindNames) {
 
 TEST(Experiment, PluggableAgingModels) {
   // The paper states its technique is orthogonal to the device model:
-  // any AgingModel can be evaluated against the same duty-cycle data.
+  // any registered device model can be evaluated against the same
+  // duty-cycle data.
   auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
   config.inferences = 20;
   const Workbench bench(config);
-  const aging::CalibratedSnmModel nbti;
-  const aging::DualBtiSnmModel dual;
-  const aging::NbtiSnmAdapter adapter{aging::NbtiModel{}};
-  for (const aging::AgingModel* model :
-       {static_cast<const aging::AgingModel*>(&nbti),
-        static_cast<const aging::AgingModel*>(&dual),
-        static_cast<const aging::AgingModel*>(&adapter)}) {
+  for (const char* name : {"calibrated-nbti", "dual-bti"}) {
+    SCOPED_TRACE(name);
+    const auto model = aging::make_aging_model(name);
     StreamRunOptions options;
     options.inferences = 20;
-    const auto none = run_policy_on_stream(bench.stream(), PolicyConfig::none(),
-                                           *model, config.report, options);
+    const auto none =
+        run_policy_on_stream(bench.stream(), PolicyConfig::none(), *model,
+                             config.environment, config.report, options);
     const auto dnn =
         run_policy_on_stream(bench.stream(), PolicyConfig::dnn_life(0.5),
-                             *model, config.report, options);
+                             *model, config.environment, config.report,
+                             options);
     // Duty balancing helps under every device model.
     EXPECT_LE(dnn.snm_stats.mean(), none.snm_stats.mean() + 1e-9);
     EXPECT_LT(dnn.snm_stats.max(), none.snm_stats.max() + 1e-9);
   }
+}
+
+/// Every number an AgingReport carries, for bit-identity comparisons.
+std::vector<double> report_values(const aging::AgingReport& report) {
+  std::vector<double> values;
+  for (const util::RunningStats* stats :
+       {&report.snm_stats, &report.duty_stats}) {
+    values.insert(values.end(),
+                  {static_cast<double>(stats->count()), stats->mean(),
+                   stats->variance(), stats->min(), stats->max()});
+  }
+  for (std::size_t bin = 0; bin < report.snm_histogram.bin_count(); ++bin)
+    values.push_back(
+        static_cast<double>(report.snm_histogram.count_in_bin(bin)));
+  values.insert(values.end(), {static_cast<double>(report.total_cells),
+                               static_cast<double>(report.unused_cells),
+                               report.fraction_optimal});
+  return values;
+}
+
+TEST(Experiment, RunEnvironmentEvaluatesLikeOneSegmentTimeline) {
+  // ExperimentConfig::environment places the whole run at one operating
+  // point: Workbench::evaluate must fold exactly what a one-segment
+  // timeline report at that environment folds over the same tracker.
+  auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
+  config.inferences = 20;
+  config.aging_model = "arrhenius-nbti";
+  config.environment.temperature_c = 85.0;
+  const Workbench bench(config);
+  const auto report = bench.evaluate(PolicyConfig::none());
+
+  PolicyConfig policy = PolicyConfig::none();
+  policy.weight_bits = bench.codec().bits();
+  FastSimOptions fast;
+  fast.inferences = config.inferences;
+  fast.threads = config.simulator_threads;
+  const aging::DutyCycleTracker tracker =
+      simulate_fast(bench.stream(), policy, fast);
+  const aging::EnvironmentSegmentView segment{&tracker, config.environment};
+  const auto timeline = make_aging_report(
+      std::span<const aging::EnvironmentSegmentView>(&segment, 1),
+      bench.model(), config.report);
+  EXPECT_EQ(report_values(report), report_values(timeline));
+
+  // ...and the environment is not ignored: 85 °C ages faster than the
+  // nominal 55 °C run of the same model.
+  config.environment = {};
+  const auto nominal = Workbench(config).evaluate(PolicyConfig::none());
+  EXPECT_GT(report.snm_stats.mean(), nominal.snm_stats.mean());
+  EXPECT_NE(report_values(report), report_values(nominal));
 }
 
 TEST(Experiment, NpuFloat32AlsoBalanced) {

@@ -4,19 +4,19 @@
 
 #include <cmath>
 
+#include "aging/device_model.hpp"
 #include "aging/lifetime.hpp"
-#include "aging/snm_model.hpp"
 
 namespace dnnlife::aging {
 namespace {
 
 TEST(LifetimeModel, ThresholdCrossingsMatchSnmModel) {
   const LifetimeModel model;
-  const CalibratedSnmModel snm;
+  const CalibratedNbtiDeviceModel snm;
   for (double duty : {0.5, 0.6, 0.8, 1.0}) {
     const double years = model.years_to_failure(duty);
     // At the failure time, the SNM degradation equals the threshold.
-    EXPECT_NEAR(snm.snm_degradation(duty, years),
+    EXPECT_NEAR(snm.degradation(duty, years, {}),
                 model.params().snm_failure_threshold, 1e-9)
         << "duty " << duty;
   }
@@ -90,28 +90,28 @@ TEST(LifetimeReport, RejectsEmptyTracker) {
 // ---- dual BTI ---------------------------------------------------------------
 
 TEST(DualBti, SymmetricAroundHalf) {
-  const DualBtiSnmModel model;
+  const DualBtiDeviceModel model;
   for (double d : {0.0, 0.2, 0.35}) {
-    EXPECT_NEAR(model.snm_degradation(d, 7.0),
-                model.snm_degradation(1.0 - d, 7.0), 1e-12);
+    EXPECT_NEAR(model.degradation(d, 7.0, {}),
+                model.degradation(1.0 - d, 7.0, {}), 1e-12);
   }
 }
 
 TEST(DualBti, MinimumAtBalancedDuty) {
-  const DualBtiSnmModel model;
-  const double at_half = model.snm_degradation(0.5, 7.0);
+  const DualBtiDeviceModel model;
+  const double at_half = model.degradation(0.5, 7.0, {});
   for (int step = 0; step <= 20; ++step)
-    EXPECT_GE(model.snm_degradation(0.05 * step, 7.0), at_half - 1e-12);
+    EXPECT_GE(model.degradation(0.05 * step, 7.0, {}), at_half - 1e-12);
 }
 
 TEST(DualBti, ZeroPbtiReducesToNbti) {
-  DualBtiSnmModel::Params params;
+  DualBtiDeviceModel::Params params;
   params.pbti_ratio = 0.0;
-  const DualBtiSnmModel dual(params);
-  const CalibratedSnmModel nbti;
+  const DualBtiDeviceModel dual(params);
+  const CalibratedNbtiDeviceModel nbti;
   for (int step = 0; step <= 10; ++step) {
     const double d = 0.1 * step;
-    EXPECT_NEAR(dual.snm_degradation(d, 7.0), nbti.snm_degradation(d, 7.0),
+    EXPECT_NEAR(dual.degradation(d, 7.0, {}), nbti.degradation(d, 7.0, {}),
                 1e-9);
   }
 }
@@ -119,28 +119,28 @@ TEST(DualBti, ZeroPbtiReducesToNbti) {
 TEST(DualBti, PbtiFlattensDutyContrast) {
   // PBTI stresses the complementary transistor, so adding it narrows the
   // gap between worst-case and balanced aging.
-  DualBtiSnmModel::Params with_pbti;
+  DualBtiDeviceModel::Params with_pbti;
   with_pbti.pbti_ratio = 0.5;
-  const DualBtiSnmModel dual(with_pbti);
-  const CalibratedSnmModel nbti_only;
+  const DualBtiDeviceModel dual(with_pbti);
+  const CalibratedNbtiDeviceModel nbti_only;
   const double contrast_dual =
-      dual.snm_degradation(1.0, 7.0) / dual.snm_degradation(0.5, 7.0);
+      dual.degradation(1.0, 7.0, {}) / dual.degradation(0.5, 7.0, {});
   const double contrast_nbti =
-      nbti_only.snm_degradation(1.0, 7.0) / nbti_only.snm_degradation(0.5, 7.0);
+      nbti_only.degradation(1.0, 7.0, {}) / nbti_only.degradation(0.5, 7.0, {});
   EXPECT_LT(contrast_dual, contrast_nbti);
   EXPECT_GT(contrast_dual, 1.0);  // duty still matters
 }
 
 TEST(DualBti, FullStressAnchorPreserved) {
   // At duty 1 the stressed inverter sees NBTI only, so the anchor holds.
-  const DualBtiSnmModel model;
-  EXPECT_NEAR(model.snm_degradation(1.0, 7.0), 26.12, 1e-9);
+  const DualBtiDeviceModel model;
+  EXPECT_NEAR(model.degradation(1.0, 7.0, {}), 26.12, 1e-9);
 }
 
 TEST(DualBti, RejectsBadRatio) {
-  DualBtiSnmModel::Params params;
+  DualBtiDeviceModel::Params params;
   params.pbti_ratio = 1.5;
-  EXPECT_THROW(DualBtiSnmModel{params}, std::invalid_argument);
+  EXPECT_THROW(DualBtiDeviceModel{params}, std::invalid_argument);
 }
 
 }  // namespace

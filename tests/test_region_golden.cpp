@@ -12,8 +12,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "aging/device_model.hpp"
 #include "aging/snm_histogram.hpp"
-#include "aging/snm_model.hpp"
 #include "core/fast_simulator.hpp"
 #include "core/reference_simulator.hpp"
 #include "core/region_policy.hpp"
@@ -259,7 +259,7 @@ TEST(RegionPolicy, ReportBreaksOutPerRegion) {
   ASSERT_EQ(tracker.regions().size(), 2u);
   EXPECT_EQ(tracker.regions()[0].name, "hot");
   EXPECT_EQ(tracker.regions()[1].name, "cold");
-  const aging::CalibratedSnmModel model;
+  const aging::CalibratedNbtiDeviceModel model;
   const auto report = make_aging_report(tracker, model);
   ASSERT_EQ(report.regions.size(), 2u);
   EXPECT_EQ(report.regions[0].total_cells, 3u * 96);

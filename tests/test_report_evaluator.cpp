@@ -133,13 +133,13 @@ class ReportEvaluatorGolden : public ::testing::Test {
         core::simulate_fast(stream, core::PolicyConfig::dnn_life(0.5), {16, 1}));
     hot_ = std::make_unique<DutyCycleTracker>(
         core::simulate_fast(stream, core::PolicyConfig::none(), {16, 1}));
-    segments_.push_back(EnvironmentSegment{*cool_, kNominal});
-    segments_.push_back(EnvironmentSegment{*hot_, hot(85.0)});
+    segments_.push_back(EnvironmentSegmentView{cool_.get(), kNominal});
+    segments_.push_back(EnvironmentSegmentView{hot_.get(), hot(85.0)});
   }
 
   std::unique_ptr<DutyCycleTracker> cool_;
   std::unique_ptr<DutyCycleTracker> hot_;
-  std::vector<EnvironmentSegment> segments_;
+  std::vector<EnvironmentSegmentView> segments_;
 };
 
 TEST_F(ReportEvaluatorGolden, AllModelsAllThreadCountsBitIdentical) {
@@ -194,9 +194,9 @@ TEST_F(ReportEvaluatorGolden, RegionBreakdownIdenticalAcrossThreadCounts) {
                                            CellRegion{"c", 384, 576}};
   cool_->set_regions(regions);
   hot_->set_regions(regions);
-  std::vector<EnvironmentSegment> segments;
-  segments.push_back(EnvironmentSegment{*cool_, kNominal});
-  segments.push_back(EnvironmentSegment{*hot_, hot(85.0)});
+  const std::vector<EnvironmentSegmentView> segments = {
+      EnvironmentSegmentView{cool_.get(), kNominal},
+      EnvironmentSegmentView{hot_.get(), hot(85.0)}};
   const std::shared_ptr<const DeviceAgingModel> model =
       make_aging_model("arrhenius-nbti");
   const LifetimeModel lifetime(model);
@@ -388,10 +388,6 @@ TEST(BatchedEvaluation, MatchesPerCellBitIdenticallyForAllModels) {
         ASSERT_EQ(batched[i], model->degradation(duties[i], 7.0, env))
             << pins.model << " forward, duty " << duties[i];
     }
-    model->snm_degradation_batch(duties, 7.0, batched);
-    for (std::size_t i = 0; i < duties.size(); ++i)
-      ASSERT_EQ(batched[i], model->snm_degradation(duties[i], 7.0))
-          << pins.model << " legacy hook, duty " << duties[i];
   }
 }
 

@@ -242,6 +242,7 @@ Reference reference_reports(const std::vector<EnvironmentSegment>& segments,
                             const LifetimeModel& lifetime_model,
                             const AgingReportOptions& options) {
   const DeviceAgingModel& model = lifetime_model.model();
+  const std::vector<EnvironmentSegmentView> views = segment_views(segments);
   const DutyCycleTracker& first = segments.front().tracker;
   const std::vector<CellRegion>& tags = first.regions();
   Reference ref{AgingReport{util::Histogram(options.hist_lo, options.hist_hi,
@@ -263,7 +264,7 @@ Reference reference_reports(const std::vector<EnvironmentSegment>& segments,
     while (cell >= tags[region].cell_end) ++region;
     RegionAging& region_aging = ref.aging.regions[region];
     const CellResidency residency =
-        gather_cell_segments(segments, cell, history);
+        gather_cell_segments(views, cell, history);
     if (residency.total == 0) {
       ++ref.aging.unused_cells;
       ++region_aging.unused_cells;
@@ -319,6 +320,7 @@ TEST(ReportEvaluatorTimeline, GeneratedTimelinesMatchPerCellLoopBitwise) {
   for (const std::size_t segment_count : {2u, 3u, 4u}) {
     const std::vector<EnvironmentSegment> segments =
         generate_segments(0x5eed0000 + segment_count, segment_count, cells);
+    const std::vector<EnvironmentSegmentView> views = segment_views(segments);
     const std::uint64_t counter_tuples = distinct_used_tuples(segments, true);
     const std::uint64_t total_tuples = distinct_used_tuples(segments, false);
     // The generator must actually exercise deduplication and both keys.
@@ -341,7 +343,7 @@ TEST(ReportEvaluatorTimeline, GeneratedTimelinesMatchPerCellLoopBitwise) {
                      " segments, " + std::to_string(threads) + " threads");
         options.threads = threads;
         counting->reset();
-        EXPECT_EQ(aging_bits(make_aging_report(segments, *counting, options)),
+        EXPECT_EQ(aging_bits(make_aging_report(views, *counting, options)),
                   ref_aging);
         // One composition per distinct counter tuple (the cell's own
         // degradation) plus one per distinct totals tuple (its balanced
@@ -350,7 +352,7 @@ TEST(ReportEvaluatorTimeline, GeneratedTimelinesMatchPerCellLoopBitwise) {
         EXPECT_EQ(counting->failure_calls(), 0u);
         counting->reset();
         EXPECT_EQ(lifetime_bits(
-                      make_lifetime_report(segments, lifetime_model, threads)),
+                      make_lifetime_report(views, lifetime_model, threads)),
                   ref_lifetime);
         EXPECT_EQ(counting->failure_calls(), counter_tuples);
         EXPECT_EQ(counting->timeline_calls(), 0u);

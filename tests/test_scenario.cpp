@@ -216,7 +216,7 @@ TEST(ScenarioRun, UniformScenarioMatchesDirectWorkload) {
   const auto tracker = simulate_workload(
       phases, RegionPolicyTable::uniform(bench.stream().geometry(),
                                          PolicyConfig::inversion()));
-  const aging::CalibratedSnmModel model;
+  const aging::CalibratedNbtiDeviceModel model;
   const auto direct = make_aging_report(tracker, model);
   EXPECT_EQ(result.report.total_cells, direct.total_cells);
   EXPECT_EQ(result.report.unused_cells, direct.unused_cells);
@@ -343,7 +343,7 @@ TEST(ScenarioRun, DefaultModelNominalEnvironmentsMatchLegacyNumbers) {
   const auto tracker = simulate_workload(
       phases, RegionPolicyTable::uniform(bench.stream().geometry(),
                                          PolicyConfig{}));
-  const aging::CalibratedSnmModel model;
+  const aging::CalibratedNbtiDeviceModel model;
   const auto direct = make_aging_report(tracker, model);
   EXPECT_EQ(result.report.snm_stats.mean(), direct.snm_stats.mean());
   EXPECT_EQ(result.report.snm_stats.max(), direct.snm_stats.max());

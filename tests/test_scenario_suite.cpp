@@ -261,6 +261,9 @@ TEST(ScenarioModelParams, RegistryRoutesKnobsIntoTheModel) {
 }
 
 TEST(ScenarioModelParams, LegacyFactoriesRejectParams) {
+  // A custom model without knobs (the shape pre-parameter factories had)
+  // finishes its ModelParamReader without a get(): any key must throw,
+  // naming the offending key.
   using namespace dnnlife::aging;
   struct FlatModel final : PowerLawDeviceModel {
     FlatModel() : PowerLawDeviceModel(7.0, 1.0 / 6.0) {}
@@ -271,13 +274,15 @@ TEST(ScenarioModelParams, LegacyFactoriesRejectParams) {
   };
   auto& registry = AgingModelRegistry::instance();
   if (!registry.contains("test-flat"))
-    registry.add("test-flat", [](const SnmParams&) {
-      return std::make_unique<FlatModel>();
-    });
+    registry.add("test-flat",
+                 [](const SnmParams&, const AgingModelParams& params) {
+                   ModelParamReader(params, "test-flat").finish();
+                   return std::make_unique<FlatModel>();
+                 });
   EXPECT_NO_THROW(make_aging_model("test-flat"));
   try {
     make_aging_model("test-flat", SnmParams{}, {{"knob", 1.0}});
-    FAIL() << "legacy factory accepted params";
+    FAIL() << "knob-free factory accepted params";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("knob"), std::string::npos);
   }

@@ -5,8 +5,8 @@
 
 #include <vector>
 
+#include "aging/device_model.hpp"
 #include "aging/snm_histogram.hpp"
-#include "aging/snm_model.hpp"
 #include "core/fast_simulator.hpp"
 #include "core/reference_simulator.hpp"
 #include "dnn/model_zoo.hpp"
@@ -80,7 +80,7 @@ TEST_F(SmallStreamFixture, FastMatchesReferenceDnnLifeStatistically) {
   const auto reference =
       simulate_reference(stream, policy, {inferences, 1, false});
   const auto fast = simulate_fast(stream, policy, {inferences});
-  const aging::CalibratedSnmModel model;
+  const aging::CalibratedNbtiDeviceModel model;
   const auto ref_report = make_aging_report(reference, model);
   const auto fast_report = make_aging_report(fast, model);
   EXPECT_NEAR(ref_report.duty_stats.mean(), fast_report.duty_stats.mean(),
