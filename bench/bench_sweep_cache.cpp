@@ -1,33 +1,40 @@
-// Cross-point simulation reuse: the duty-state cache (core/sim_cache.hpp)
-// against the simulate-every-point baseline, on the canonical 12-point
-// environment-axis grid (3 temperatures x 2 vdd x 2 activity scales over
-// one GoogLeNet workload). Every point shares one simulation fingerprint
-// — the axes are evaluation-time inputs — so the cached sweep simulates
-// once and evaluates twelve times.
+// Cross-point simulation reuse on the canonical 12-point environment-axis
+// grid (3 temperatures x 2 vdd x 2 activity scales over one GoogLeNet
+// workload). Every point shares one simulation fingerprint — the axes are
+// evaluation-time inputs — so a sweep needs one simulation and twelve
+// evaluations.
 //
-// Below both sits the sweep's stream pool (core/stream_pool.hpp): every
-// suite run builds the one GoogLeNet stream once, so even the cache-off
-// sweep only re-simulates. The `fresh` row runs the 12 points through
-// plain run_scenario(spec), which builds the stream per point — the cost
-// of a sweep before the pool — and gates the pool's saving.
+// Rows:
+//  - `fresh`: each point through plain run_scenario(spec), which builds
+//    the stream per point — the cost of a sweep before any pooling;
+//  - `simulate all`: each point through run_scenario with one shared
+//    core::StreamPool (RunScenarioOptions::stream_pool) — every point
+//    simulates, the stream is built once. This is the comparator of every
+//    reuse ratio: the work a duty-state tier removes is 11 of its 12
+//    simulations;
+//  - `default`: ScenarioSuite::run with no options — its scheduler's
+//    duty-state pool (core/lease_pool.hpp) simulates once;
+//  - `cache on`, `store cold`, `store warm`: the explicit SimCache and
+//    SimStore tiers, consulted before the pool.
 //
 //   bench_sweep_cache [--jobs=N] [--json=PATH]
 //
-// --jobs defaults to 1: serial admission makes the wall-clock ratio a
-// machine-independent measure of the work the cache removes (11 of 12
-// simulations), instead of a function of how many cores happened to soak
-// up the redundant ones. The bench hard-fails (exit 1) unless the two
-// summaries (timing omitted) are byte-identical, the cache counters
-// come out exactly hits=11 / misses=1 — the single-flight + determinism
-// contract — and every simulating suite run built its stream exactly once,
+// --jobs defaults to 1: serial admission makes the wall-clock ratios a
+// machine-independent measure of the work reuse removes, instead of a
+// function of how many cores happened to soak up the redundant
+// simulations (the per-point rows are always serial). The bench
+// hard-fails (exit 1) unless every summary (timing omitted) is
+// byte-identical to the fresh one, the default run simulates exactly once
+// and builds its stream exactly once, the cache counters come out exactly
+// hits=11 / misses=1, and every simulating run built its stream once —
 // so CI can gate on the exit code alone; --json adds the wall times and
 // ratios for the regression gate against
 // bench/bench_sweep_cache_reference.json.
 // The disk tier (core/sim_store.hpp) is measured the same way: a cold
 // run populates an empty store directory, then a warm run with a fresh
 // SimStore instance must satisfy every point from disk (0 simulations)
-// and reproduce the reuse-off summary byte-for-byte — the cross-run
-// analogue of the in-memory gate.
+// and reproduce the fresh summary byte-for-byte — the cross-run analogue
+// of the in-memory gate.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -41,6 +48,7 @@
 #include "core/scenario_suite.hpp"
 #include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
+#include "core/scenario.hpp"
 #include "core/stream_pool.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -117,36 +125,61 @@ int main(int argc, char** argv) {
   options.jobs = jobs;
   bool failed = false;
 
-  // Per-point stream builds: each point through plain run_scenario, as a
-  // sweep ran before the stream pool. Serial, like --jobs=1.
-  const auto fresh_start = std::chrono::steady_clock::now();
-  std::vector<core::SuiteOutcome> fresh_outcomes;
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    const core::SuiteEntry& entry = suite.entries()[i];
-    core::SuiteOutcome outcome;
-    outcome.index = i;
-    outcome.path = entry.path;
-    outcome.name = entry.spec.name;
-    outcome.fingerprint = core::simulation_fingerprint(entry.spec);
-    outcome.result = core::run_scenario(entry.spec);
-    outcome.ok = true;
-    fresh_outcomes.push_back(std::move(outcome));
-  }
-  const double fresh_seconds = seconds_since(fresh_start);
-  const std::string fresh_summary =
-      suite_summary_json(make_suite_records(fresh_outcomes), info);
+  // Every point through run_scenario, serially, with `run_options`: the
+  // timing-free summary, and the wall time in `seconds`.
+  const auto per_point_summary =
+      [&](const core::RunScenarioOptions& run_options, double& seconds) {
+        const auto start = std::chrono::steady_clock::now();
+        std::vector<core::SuiteOutcome> outcomes;
+        for (std::size_t i = 0; i < suite.size(); ++i) {
+          const core::SuiteEntry& entry = suite.entries()[i];
+          core::SuiteOutcome outcome;
+          outcome.index = i;
+          outcome.path = entry.path;
+          outcome.name = entry.spec.name;
+          outcome.fingerprint = core::simulation_fingerprint(entry.spec);
+          outcome.result = core::run_scenario(entry.spec, run_options);
+          outcome.ok = true;
+          outcomes.push_back(std::move(outcome));
+        }
+        seconds = seconds_since(start);
+        return suite_summary_json(make_suite_records(outcomes), info);
+      };
 
-  // One timed suite run: its wall time, timing-free summary and stream
-  // pool counters. Every run must reproduce the per-point summary.
+  // Per-point stream builds, as a sweep ran before the stream pool.
+  double fresh_seconds = 0.0;
+  const std::string fresh_summary = per_point_summary({}, fresh_seconds);
+
+  // One timed run: its wall time and pool counters. Every run must
+  // reproduce the fresh summary.
   struct TimedRun {
     double seconds = 0.0;
-    core::StreamPoolStats streams;
+    core::SweepPoolStats pools;
+  };
+  const auto check_summary = [&](const char* label,
+                                 const std::string& summary) {
+    if (summary == fresh_summary) return;
+    std::cerr << "FAIL: " << label << " summary is not byte-identical to "
+                 "per-point run_scenario (timing omitted)\n";
+    failed = true;
+  };
+  // Every point simulates against one stream: the points lease the grid's
+  // one stream key for the whole loop, as a sweep's scheduler would.
+  const auto simulate_all = [&] {
+    TimedRun run;
+    core::RunScenarioOptions run_options;
+    run_options.stream_pool = std::make_shared<core::StreamPool>();
+    const core::StreamPool::Lease lease = run_options.stream_pool->lease(
+        core::stream_keys(suite.entries().front().spec));
+    check_summary("simulate all", per_point_summary(run_options, run.seconds));
+    run.pools.streams = run_options.stream_pool->stats();
+    return run;
   };
   const auto timed_run = [&](const char* label) {
     TimedRun run;
     const auto start = std::chrono::steady_clock::now();
     const std::vector<core::SuiteOutcome> outcomes =
-        suite.run(options, &run.streams);
+        suite.run(options, &run.pools);
     run.seconds = seconds_since(start);
     for (const core::SuiteOutcome& outcome : outcomes)
       if (!outcome.ok) {
@@ -154,12 +187,8 @@ int main(int argc, char** argv) {
                   << "' failed: " << outcome.error << "\n";
         failed = true;
       }
-    if (suite_summary_json(make_suite_records(outcomes), info) !=
-        fresh_summary) {
-      std::cerr << "FAIL: " << label << " summary is not byte-identical to "
-                   "per-point run_scenario (timing omitted)\n";
-      failed = true;
-    }
+    check_summary(label,
+                  suite_summary_json(make_suite_records(outcomes), info));
     return run;
   };
   const auto keep_best = [](TimedRun& best, const TimedRun& run, int repeat) {
@@ -167,15 +196,24 @@ int main(int argc, char** argv) {
   };
 
   // The reuse ratios compare sub-second runs on a possibly shared host, so
-  // cache off and cache on are timed kRepeats times, interleaved, and each
-  // keeps its best time. Every repeat passes the exact checks; the cache
-  // starts empty each time.
+  // simulate-all, default and cache-on are timed kRepeats times,
+  // interleaved, and each keeps its best time. Every repeat passes the
+  // exact checks; the pools and the cache start empty each time.
   constexpr int kRepeats = 3;
-  TimedRun off, on;
+  TimedRun every, pooled, on;
   core::SimCacheStats stats;
   for (int repeat = 0; repeat < kRepeats; ++repeat) {
+    keep_best(every, simulate_all(), repeat);
     options.sim_cache = nullptr;
-    keep_best(off, timed_run("cache off"), repeat);
+    const TimedRun run = timed_run("default");
+    if (run.pools.states.builds != 1 || run.pools.states.reuses != 11) {
+      std::cerr << "FAIL: expected the default run to simulate once and "
+                   "reuse 11 times, got "
+                << run.pools.states.builds << " simulations, "
+                << run.pools.states.reuses << " reuses\n";
+      failed = true;
+    }
+    keep_best(pooled, run, repeat);
     options.sim_cache =
         std::make_shared<core::SimCache>(std::size_t{256} << 20);
     keep_best(on, timed_run("cache on"), repeat);
@@ -220,38 +258,43 @@ int main(int argc, char** argv) {
   const auto ratio = [](double num, double den) {
     return den > 0.0 ? num / den : 0.0;
   };
-  const double pool_speedup = ratio(fresh_seconds, off.seconds);
-  const double speedup = ratio(off.seconds, on.seconds);
-  const double warm_speedup = ratio(off.seconds, warm.seconds);
+  const double pool_speedup = ratio(fresh_seconds, every.seconds);
+  const double speedup = ratio(every.seconds, on.seconds);
+  const double warm_speedup = ratio(every.seconds, warm.seconds);
+  const double default_speedup = ratio(every.seconds, pooled.seconds);
   util::Table table(
       {"path", "simulations", "stream builds", "wall [s]", "speedup"});
   table.add_row({"fresh", std::to_string(suite.size()),
                  std::to_string(suite.size()),
                  util::Table::num(fresh_seconds, 3),
-                 util::Table::num(ratio(off.seconds, fresh_seconds), 2)});
-  table.add_row({"cache off", std::to_string(suite.size()),
-                 std::to_string(off.streams.builds),
-                 util::Table::num(off.seconds, 3), "1.00"});
+                 util::Table::num(ratio(every.seconds, fresh_seconds), 2)});
+  table.add_row({"simulate all", std::to_string(suite.size()),
+                 std::to_string(every.pools.streams.builds),
+                 util::Table::num(every.seconds, 3), "1.00"});
+  table.add_row({"default", std::to_string(pooled.pools.states.builds),
+                 std::to_string(pooled.pools.streams.builds),
+                 util::Table::num(pooled.seconds, 3),
+                 util::Table::num(default_speedup, 2)});
   table.add_row({"cache on",
                  std::to_string(static_cast<unsigned long long>(stats.misses)),
-                 std::to_string(on.streams.builds),
+                 std::to_string(on.pools.streams.builds),
                  util::Table::num(on.seconds, 3),
                  util::Table::num(speedup, 2)});
   table.add_row(
       {"store cold",
        std::to_string(static_cast<unsigned long long>(cold_stats.misses)),
-       std::to_string(cold.streams.builds),
+       std::to_string(cold.pools.streams.builds),
        util::Table::num(cold.seconds, 3),
-       util::Table::num(ratio(off.seconds, cold.seconds), 2)});
+       util::Table::num(ratio(every.seconds, cold.seconds), 2)});
   table.add_row(
       {"store warm",
        std::to_string(static_cast<unsigned long long>(warm_stats.misses)),
-       std::to_string(warm.streams.builds),
+       std::to_string(warm.pools.streams.builds),
        util::Table::num(warm.seconds, 3),
        util::Table::num(warm_speedup, 2)});
   std::cout << table.to_string();
   std::cout << "best of " << kRepeats
-            << " for cache off, cache on and store warm\n";
+            << " for simulate all, default, cache on and store warm\n";
   std::cout << "cache: " << stats.hits << " hits, " << stats.misses
             << " misses, " << stats.evictions << " evictions, "
             << stats.entries << " resident\n";
@@ -259,19 +302,23 @@ int main(int argc, char** argv) {
             << cold_stats.publishes << " published, warm " << warm_stats.hits
             << " hits / " << warm_stats.misses << " misses\n";
 
-  if (off.streams.builds != 1 || on.streams.builds != 1 ||
-      cold.streams.builds != 1 || warm.streams.builds != 0) {
+  if (every.pools.streams.builds != 1 || pooled.pools.streams.builds != 1 ||
+      on.pools.streams.builds != 1 || cold.pools.streams.builds != 1 ||
+      warm.pools.streams.builds != 0) {
     std::cerr << "FAIL: expected the one GoogLeNet stream built exactly once "
                  "per simulating run (and never on a warm store), got "
-                 "cache off "
-              << off.streams.builds << ", cache on " << on.streams.builds
-              << ", store cold " << cold.streams.builds << ", store warm "
-              << warm.streams.builds << "\n";
+                 "simulate all "
+              << every.pools.streams.builds << ", default "
+              << pooled.pools.streams.builds << ", cache on "
+              << on.pools.streams.builds << ", store cold "
+              << cold.pools.streams.builds << ", store warm "
+              << warm.pools.streams.builds << "\n";
     failed = true;
   }
   if (!failed)
-    std::cout << "summaries byte-identical; 1 stream build and 1 simulation "
-                 "served all 12 points; warm store re-simulated nothing\n";
+    std::cout << "summaries byte-identical; the default run and the cache "
+                 "each served all 12 points from 1 stream build and 1 "
+                 "simulation; warm store re-simulated nothing\n";
 
   if (!json_path.empty()) {
     std::ofstream json(json_path);
@@ -285,9 +332,11 @@ int main(int argc, char** argv) {
          << ",\n"
          << "  \"pool_speedup\": " << util::Table::num(pool_speedup, 3)
          << ",\n"
-         << "  \"stream_builds\": " << off.streams.builds << ",\n"
-         << "  \"cache_off_seconds\": " << util::Table::num(off.seconds, 4)
+         << "  \"stream_builds\": " << pooled.pools.streams.builds << ",\n"
+         << "  \"simulations\": " << pooled.pools.states.builds << ",\n"
+         << "  \"simulate_all_seconds\": " << util::Table::num(every.seconds, 4)
          << ",\n"
+
          << "  \"cache_on_seconds\": " << util::Table::num(on.seconds, 4)
          << ",\n"
          << "  \"speedup\": " << util::Table::num(speedup, 3) << ",\n"

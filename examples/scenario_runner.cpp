@@ -15,12 +15,14 @@
 //                         else hardware concurrency); results are
 //                         bit-identical for any value
 //   --csv=PATH            export the per-region lifetime breakdown as CSV
-//   --sim-cache-mb=N      duty-state cache budget in MiB (0 disables, the
-//                         default). A single run simulates each spec once,
-//                         so the cache only pays off when the runner is
-//                         invoked as a library-style harness; the flag
-//                         exists mainly to exercise the cache-aware
-//                         run_scenario path and print its counters
+//   --sim-cache-mb=N      duty-state LRU budget in MiB (0 = none, the
+//                         default). One scenario simulates once anyway;
+//                         in sweeps, reuse between points is the default
+//                         (the sweep's own duty-state pool) and the LRU
+//                         only adds reuse across sweeps in one process.
+//                         Here the flag exercises the explicit tier that
+//                         run_scenario consults first, and prints its
+//                         counters
 //   --sim-store=DIR       content-addressed disk store of committed duty
 //                         state (see README "Simulation reuse"): the run
 //                         probes DIR/<fingerprint>.simstate before

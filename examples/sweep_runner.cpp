@@ -41,14 +41,18 @@
 //   --deadline=SEC   soft per-scenario deadline on the monotonic clock: an
 //                    attempt that exceeds it is recorded as status
 //                    "timeout" and abandoned instead of hanging the shard
-//   --sim-cache-mb=N enable content-addressed simulation reuse with an
-//                    N-MB duty-state cache (0 = off, the default): points
-//                    whose specs share a simulation fingerprint (same
-//                    write stream — e.g. an environment/aging-model grid
-//                    over one workload) simulate once and share the
-//                    committed tracker state. Summaries stay
-//                    byte-identical (--omit-timing) to cache-off runs; a
-//                    cache stats line prints at the end
+//   --sim-cache-mb=N add an N-MB duty-state LRU (0 = none, the default).
+//                    Reuse within the sweep needs no flag: points whose
+//                    specs share a simulation fingerprint (same write
+//                    stream — e.g. an environment/aging-model grid over
+//                    one workload) always simulate once and share the
+//                    committed tracker state through the sweep's pool,
+//                    reported by the "sim pool: N simulations, M reuses"
+//                    line. The LRU only adds reuse across sweeps in one
+//                    process; it is consulted before the pool, so its
+//                    hit/miss line counts exactly the points it served
+//                    and the ones that simulated. Summaries stay
+//                    byte-identical (--omit-timing) either way
 //   --sim-store=DIR  content-addressed disk tier under the cache: memory
 //                    misses probe DIR/<fingerprint>.simstate before
 //                    simulating, and fresh simulations are durably
@@ -502,8 +506,9 @@ int main(int argc, char** argv) {
     };
   }
   std::vector<core::SuiteOutcome> outcomes;
+  core::SweepPoolStats pools;
   try {
-    outcomes = suite.run(options);
+    outcomes = suite.run(options, &pools);
   } catch (const std::exception& error) {
     std::cerr << "sweep error: " << error.what() << "\n";
     return 1;
@@ -540,6 +545,12 @@ int main(int argc, char** argv) {
   if (failures != 0)
     std::cout << failures << " scenario" << (failures == 1 ? "" : "s")
               << " failed\n";
+  // Stdout only, never in the summary files: the --omit-timing summaries
+  // of runs with and without the explicit tiers must stay byte-identical.
+  std::cout << "sim pool: " << pools.states.builds << " simulation"
+            << (pools.states.builds == 1 ? "" : "s") << ", "
+            << pools.states.reuses << " reuse"
+            << (pools.states.reuses == 1 ? "" : "s") << "\n";
   if (sim_cache) {
     const core::SimCacheStats stats = sim_cache->stats();
     std::cout << "sim cache: " << stats.hits << " hit"

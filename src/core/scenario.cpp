@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -167,6 +168,34 @@ void parse_snm(const JsonValue& object, aging::SnmParams& snm) {
     snm.time_exponent = v->as_number();
 }
 
+/// Geometry preflight: the weight memory of both hardware configs must
+/// have a row count that fits the 32-bit geometry and at most
+/// kMaxWeightMemoryCells cells. Each field is bounded on its own while
+/// parsing; this bounds their product, before any stream or tracker is
+/// allocated. The dormant config is checked too: it is still part of the
+/// document.
+void check_memory_size(const ScenarioSpec& spec) {
+  const std::uint64_t npu_rows =
+      std::uint64_t{spec.npu.fifo_tiles} * spec.npu.array_dim;
+  if (npu_rows > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument(
+        "npu fifo_tiles x array_dim = " + std::to_string(npu_rows) +
+        " rows exceeds the 32-bit row count");
+  const std::uint64_t npu_cells =
+      npu_rows * spec.npu.array_dim * quant::bits_per_weight(spec.format);
+  if (npu_cells > kMaxWeightMemoryCells)
+    throw std::invalid_argument(
+        "npu weight memory of " + std::to_string(npu_cells) +
+        " cells (fifo_tiles x array_dim x array_dim x weight bits) exceeds "
+        "the limit of " + std::to_string(kMaxWeightMemoryCells) + " cells");
+  if (spec.baseline.weight_memory_bytes > kMaxWeightMemoryCells / 8)
+    throw std::invalid_argument(
+        "baseline weight_memory_bytes " +
+        std::to_string(spec.baseline.weight_memory_bytes) +
+        " exceeds the limit of " + std::to_string(kMaxWeightMemoryCells / 8) +
+        " bytes");
+}
+
 }  // namespace
 
 ScenarioSpec parse_scenario(const std::string& json_text) {
@@ -206,9 +235,14 @@ ScenarioSpec parse_scenario(const std::string& json_text) {
       spec.aging_model_params.emplace(key, value.as_number());
   if (const JsonValue* v = root.find("lifetime"))
     parse_lifetime(*v, spec.lifetime);
-  if (!spec.aging_model_params.empty()) {
-    // Surface unknown-knob and out-of-range errors at parse time, where
-    // they read as document errors, not deep inside a sweep run.
+  check_memory_size(spec);
+  if (root.find("snm") != nullptr ||
+      root.find("aging_model_params") != nullptr) {
+    // Surface unknown-knob, out-of-range and bad-anchor errors at parse
+    // time, where they read as document errors, not after a whole
+    // simulation. The default anchors and knobs are valid, so documents
+    // that set neither skip the build (it would cost every sweep point a
+    // model at set-up).
     aging::make_aging_model(spec.aging_model, spec.snm,
                             spec.aging_model_params);
   }
@@ -401,7 +435,7 @@ namespace {
 
 /// Build one network's stream pipeline for the spec's format and hardware
 /// config. Touches no executor (see StreamPool::acquire).
-StreamPool::PipelinePtr build_stream_pipeline(const ScenarioSpec& spec,
+StreamPool::ValuePtr build_stream_pipeline(const ScenarioSpec& spec,
                                               const std::string& network) {
   auto pipeline = std::make_shared<StreamPipeline>();
   pipeline->network =
@@ -428,18 +462,18 @@ StreamPool::PipelinePtr build_stream_pipeline(const ScenarioSpec& spec,
 /// policy table, run the phased simulation and strip the result down to
 /// what evaluation needs — geometry, region tags and the per-segment
 /// trackers. This is the expensive half of run_scenario and the unit the
-/// SimCache shares across points.
+/// duty-state tiers share across points.
 std::shared_ptr<const SimulationState> simulate_scenario(
     const ScenarioSpec& spec, StreamPool& pool) {
   // One pipeline per distinct network, in first-appearance order (the
   // order of stream_keys); phases referencing the same network share it.
   std::vector<std::string> keys = stream_keys(spec);
   const StreamPool::Lease lease = pool.lease(keys);
-  std::map<std::string, StreamPool::PipelinePtr> pipelines;
+  std::map<std::string, StreamPool::ValuePtr> pipelines;
   unsigned weight_bits = 0;
   for (const ScenarioPhaseSpec& phase : spec.phases) {
     if (pipelines.contains(phase.network)) continue;
-    StreamPool::PipelinePtr pipeline =
+    StreamPool::ValuePtr pipeline =
         pool.acquire(keys[pipelines.size()], [&spec, &phase] {
           return build_stream_pipeline(spec, phase.network);
         });
@@ -570,7 +604,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
   // one code path, each distinct network still built once.
   StreamPool local_pool;
   StreamPool& pool = options.stream_pool ? *options.stream_pool : local_pool;
-  if (!options.sim_cache && !options.sim_store)
+  if (!options.sim_cache && !options.sim_store && !options.sim_pool)
     return evaluate_scenario(spec, *simulate_scenario(spec, pool));
   const std::string fingerprint = simulation_fingerprint(spec);
   SimCache::StatePtr state =
@@ -580,22 +614,25 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     // misses (quarantined inside the store), never as errors.
     state = options.sim_store->lookup(fingerprint);
   }
-  if (!state) {
-    // Both tiers missed: simulate, then publish to disk *before* the
-    // memory insert — the SweepScheduler releases parked same-fingerprint
+  if (!state && options.sim_pool) state = options.sim_pool->find(fingerprint);
+  const bool simulated = state == nullptr;
+  if (simulated) {
+    // Every tier missed: simulate, then publish to disk *before* the
+    // memory inserts — the SweepScheduler releases parked same-fingerprint
     // siblings only after this call returns, so by then the entry is
     // durable and visible to sibling shards sharing the directory.
     state = simulate_scenario(spec, pool);
     if (options.sim_store) options.sim_store->publish(fingerprint, *state);
   }
-  if (options.sim_cache) {
-    // Write-through: disk hits and fresh simulations both land in the
-    // memory tier. insert is first-wins, so a concurrent racer of the
-    // same fingerprint converges on one canonical state (the
-    // SweepScheduler's single-flight parking avoids the redundant
-    // compute in the first place; this is the correctness backstop).
+  // Write-through: whatever the cache did not serve lands in it. Both
+  // inserts are first-wins, so a concurrent racer of the same fingerprint
+  // converges on one canonical state (the SweepScheduler's single-flight
+  // parking avoids the redundant compute in the first place; this is the
+  // correctness backstop).
+  if (options.sim_cache)
     state = options.sim_cache->insert(fingerprint, std::move(state));
-  }
+  if (simulated && options.sim_pool)
+    state = options.sim_pool->insert(fingerprint, std::move(state));
   return evaluate_scenario(spec, *state);
 }
 

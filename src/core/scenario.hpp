@@ -9,6 +9,7 @@
 // Layering: scenario → workbench/workload → policy engine → simulators.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,6 +71,15 @@ struct ScenarioSpec {
   aging::LifetimeParams lifetime;
 };
 
+/// Largest weight memory a scenario may describe, in 6T cells (bits):
+/// 64 Mi cells, i.e. 8 MiB of SRAM — 8x the largest geometry any shipped
+/// bench or example uses (a 256 x 256 NPU with a 4-tile FIFO of float32
+/// weights, 8 Mi cells). Every environment segment keeps two 32-bit
+/// counters per cell, so the cap also bounds a simulation's duty state
+/// at 512 MiB per segment. parse_scenario enforces it on both hardware
+/// configs before anything is allocated.
+inline constexpr std::uint64_t kMaxWeightMemoryCells = std::uint64_t{1} << 26;
+
 /// Parse a scenario from its JSON description. Strict: unknown members,
 /// wrong types and out-of-range values throw std::invalid_argument with
 /// an explanatory message. See README.md ("Declarative scenarios") for
@@ -123,29 +133,42 @@ std::string simulation_fingerprint(const ScenarioSpec& spec);
 std::vector<std::string> stream_keys(const ScenarioSpec& spec);
 
 class SimStore;    // core/sim_store.hpp
-class StreamPool;  // core/stream_pool.hpp
+struct SimulationState;
+template <class Value>
+class LeasePool;  // core/lease_pool.hpp
+struct StreamPipeline;
 
+/// Where run_scenario may find or leave duty state and streams. Lookups go
+/// sim_cache → sim_store → sim_pool → simulate; a fresh simulation is then
+/// published to the store, inserted into the cache, and inserted into the
+/// pool, in that order. The explicit tiers come first so that their hit
+/// and miss counters mean exactly "served" and "simulated". Results are
+/// byte-identical with any combination of them, all null included.
 struct RunScenarioOptions {
-  /// Shared duty-state cache. Non-null: look up the spec's fingerprint
-  /// first and skip simulation on a hit, inserting on a miss; results are
-  /// byte-identical to the cache-off path. Null: always simulate.
+  /// Shared duty-state LRU (core/sim_cache.hpp). Non-null: look up the
+  /// spec's fingerprint first and skip simulation on a hit, inserting on
+  /// a miss.
   std::shared_ptr<SimCache> sim_cache;
-  /// Disk tier under the cache (see core/sim_store.hpp). Non-null: a
-  /// memory miss probes the store before simulating, and fresh
-  /// simulations are durably published to it before the cache insert —
-  /// so re-runs, resumed crashes and sibling shards sharing the
-  /// directory reuse committed duty state across processes. Results stay
-  /// byte-identical to the store-off path.
+  /// Disk tier (see core/sim_store.hpp). Non-null: a memory miss probes
+  /// the store before simulating, and fresh simulations are durably
+  /// published to it before the cache insert — so re-runs, resumed
+  /// crashes and sibling shards sharing the directory reuse committed
+  /// duty state across processes.
   std::shared_ptr<SimStore> sim_store;
+  /// The sweep's duty-state pool (SweepScheduler owns it): a state is
+  /// found here only while some point leases its fingerprint. Shared, so
+  /// an abandoned soft-deadline attempt can still publish into it after
+  /// the scheduler is gone.
+  std::shared_ptr<LeasePool<SimulationState>> sim_pool;
   /// Stream pool shared across a sweep's points (core/stream_pool.hpp):
   /// points with equal stream keys simulate against one built stream.
   /// Null: a pool local to this call, so each distinct network is still
-  /// built once per scenario. Results are byte-identical either way.
-  std::shared_ptr<StreamPool> stream_pool;
+  /// built once per scenario.
+  std::shared_ptr<LeasePool<StreamPipeline>> stream_pool;
 };
 
-/// Cache-aware run_scenario. With a null cache, store and pool this is
-/// exactly the plain overload.
+/// Reuse-aware run_scenario. With every member null this is exactly the
+/// plain overload: the point simulates its own stream.
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunScenarioOptions& options);
 

@@ -74,7 +74,7 @@ struct SuiteOutcome {
   std::optional<ScenarioResult> result;  ///< present when ok
   double wall_seconds = 0.0;             ///< across all attempts
   /// Simulation fingerprint of the spec (core::simulation_fingerprint);
-  /// equal fingerprints shared one simulation when a sim cache was active.
+  /// points of one run with equal fingerprints share one simulation.
   std::string fingerprint;
 };
 
@@ -131,11 +131,11 @@ struct SuiteRunOptions {
   /// Invoked after each scenario finishes. Serialized internally, so a CLI
   /// can print from it without locking; must not throw.
   std::function<void(const SuiteProgress&)> progress;
-  /// Shared duty-state cache (core/sim_cache.hpp): points whose specs
-  /// share a simulation fingerprint simulate once and evaluate against
-  /// the shared tracker state, with single-flight dedup under
-  /// concurrency. Null disables reuse. Summaries are byte-identical
-  /// either way (--omit-timing).
+  /// Optional duty-state LRU (core/sim_cache.hpp). Every run already
+  /// simulates each distinct fingerprint once through its scheduler's
+  /// duty-state pool; a cache shared by several runs adds reuse across
+  /// them. Consulted before the pool, so its counters stay exact.
+  /// Summaries are byte-identical either way (--omit-timing).
   std::shared_ptr<SimCache> sim_cache;
   /// Disk tier under the cache (core/sim_store.hpp): memory misses probe
   /// the store directory and fresh simulations are durably published to
@@ -143,6 +143,15 @@ struct SuiteRunOptions {
   /// shared directory reuse committed duty state across processes. Null
   /// disables the tier. Summaries are byte-identical either way.
   std::shared_ptr<SimStore> sim_store;
+};
+
+/// The reuse counters of one ScenarioSuite::run, read from its
+/// scheduler's two pools (core/lease_pool.hpp) after the last point.
+struct SweepPoolStats {
+  LeasePoolStats streams;  ///< builds = weight streams built
+  /// builds = simulations whose state the pool received; reuses = points
+  /// it served instead of simulating.
+  LeasePoolStats states;
 };
 
 class ScenarioSuite {
@@ -177,12 +186,12 @@ class ScenarioSuite {
 
   /// Run the shard's scenarios, `jobs` at a time. Outcomes are returned in
   /// suite order regardless of completion order (each job fills its own
-  /// slot), carrying their global suite index. Each run has its own stream
-  /// pool (core/stream_pool.hpp), empty at the start like a fresh sweep
-  /// process; `stream_stats`, when given, receives its counters at the end
-  /// (builds = the selection's distinct stream keys).
+  /// slot), carrying their global suite index. Each run has its own
+  /// stream and duty-state pools, empty at the start like a fresh sweep
+  /// process, so it simulates each distinct fingerprint of the selection
+  /// once; `pool_stats`, when given, receives their counters at the end.
   std::vector<SuiteOutcome> run(const SuiteRunOptions& options = {},
-                                StreamPoolStats* stream_stats = nullptr) const;
+                                SweepPoolStats* pool_stats = nullptr) const;
 
  private:
   std::vector<SuiteEntry> entries_;

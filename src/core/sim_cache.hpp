@@ -1,33 +1,49 @@
-// Content-addressed simulation reuse: the duty-state cache behind
+// Content-addressed simulation reuse: the duty-state tiers behind
 // cross-point sweep acceleration.
 //
 // Most sweep axes (temperature_c, vdd, activity_scale, aging_model,
 // aging_model_params.*, lifetime.*) never change what the simulator
 // writes — only how the aging models evaluate the accumulated duty-cycle
 // state. A 3-temps x 2-vdd x 2-models grid over one workload therefore
-// simulates the same write stream 12 times. SimCache eliminates that
-// redundancy: committed per-environment-segment DutyCycleTracker state is
-// keyed by core::simulation_fingerprint (a canonical hash over exactly
-// the stream-affecting ScenarioSpec fields; see core/scenario.hpp) and
-// shared immutably across points via shared_ptr, so on a hit run_scenario
-// skips simulation entirely and only the aging-report pipeline runs.
+// simulates the same write stream 12 times unless the committed
+// per-environment-segment DutyCycleTracker state is shared. It is keyed by
+// core::simulation_fingerprint (a canonical hash over exactly the
+// stream-affecting ScenarioSpec fields; see core/scenario.hpp) and shared
+// immutably via shared_ptr, so on a hit run_scenario skips simulation
+// entirely and only the aging-report pipeline runs.
+//
+// Two in-memory holders of that state exist:
+//  - SimStatePool, the default: every SweepScheduler owns one (a
+//    core::LeasePool under the fingerprint). A fresh point leases its
+//    fingerprint at submit and drops it when it finishes, so a state is
+//    resident exactly while a queued or running point still needs it —
+//    every sweep simulates each distinct stream once with no flag and no
+//    byte budget.
+//  - SimCache, the optional LRU (--sim-cache-mb): a byte-budgeted cache
+//    that outlives a sweep, so its only added value is reuse *across*
+//    sweeps run in one process (plus the hit/miss counters the benches
+//    pin).
+// run_scenario consults the explicit tiers first — SimCache, then the
+// disk SimStore — and the sweep pool last, so the explicit tiers'
+// counters keep their exact meaning (a hit there is a point that did not
+// simulate) whether or not the pool would also have served it.
 //
 // Concurrency and safety:
-//  - Entries are immutable after insert; lookup hands out
-//    shared_ptr<const SimulationState>, so an entry evicted while a point
-//    is still evaluating against it stays alive until the last reader
-//    drops it (refcounted eviction safety).
-//  - The cache itself is a mutex-protected LRU bounded by a byte budget
-//    (--sim-cache-mb); insert is first-wins, so concurrent computers of
-//    the same fingerprint converge on one canonical state.
+//  - Entries are immutable after insert; lookups hand out
+//    shared_ptr<const SimulationState>, so an entry evicted or released
+//    while a point is still evaluating against it stays alive until the
+//    last reader drops it (refcounted eviction safety).
+//  - The cache is a mutex-protected LRU bounded by a byte budget; insert
+//    is first-wins in both holders, so concurrent computers of the same
+//    fingerprint converge on one canonical state.
 //  - Single-flight (one *simulation* per fingerprint under concurrency)
 //    is the SweepScheduler's job — its admission chain parks queued
-//    same-fingerprint siblings behind the first submitter; the cache only
-//    stores and counts.
+//    same-fingerprint siblings behind the first submitter; the holders
+//    only store and count.
 //
-// Determinism: evaluating against cached tracker state is byte-identical
-// to a cache-off run because the aging fold consumes the same tracker
-// bits either way (see the EnvironmentSegmentView overloads of
+// Determinism: evaluating against shared tracker state is byte-identical
+// to simulating the point itself because the aging fold consumes the same
+// tracker bits either way (see the EnvironmentSegmentView overloads of
 // make_aging_report / make_lifetime_report).
 #pragma once
 
@@ -41,6 +57,7 @@
 #include <vector>
 
 #include "aging/duty_cycle.hpp"
+#include "core/lease_pool.hpp"
 #include "sim/memory_geometry.hpp"
 
 namespace dnnlife::core {
@@ -63,6 +80,10 @@ struct SimulationState {
   /// Approximate heap footprint, used for the cache's byte budget.
   std::size_t bytes() const;
 };
+
+/// The sweep-scoped duty-state pool: one per SweepScheduler, keyed by
+/// simulation fingerprint, filled with insert() after a simulation.
+using SimStatePool = LeasePool<SimulationState>;
 
 struct SimCacheStats {
   std::uint64_t hits = 0;

@@ -10,38 +10,23 @@
 // cost; StreamPool builds it once and hands the immutable pipeline to
 // every point that needs it.
 //
-// Lifetime and memory bound:
-//  - A point *leases* its keys for as long as it is queued or running
-//    (SweepScheduler takes the lease at submit and drops it when the point
-//    finishes; run_scenario leases for the duration of a simulation).
-//  - A pipeline is resident only while its key is leased: the last lease
-//    drop erases it. Resident memory is therefore bounded by the distinct
-//    streams of the points in flight or queued, never by sweep history.
-//    A pooled stream holds one inference's packed payloads
-//    (writes_per_inference x words_per_row x 8 bytes when the hardware
-//    config's cache_encoded_rows is on) plus the network description.
-//  - acquire() of a key nobody leases builds a private pipeline that is
-//    never cached.
+// StreamPool is the sweep's core::LeasePool of pipelines (lifetime,
+// single flight and failure rules in core/lease_pool.hpp). SweepScheduler
+// leases a point's stream keys at submit and drops them when the point
+// finishes; run_scenario leases them for the duration of a simulation and
+// builds through acquire(), which is safe because a build never touches
+// the executor. A pooled stream holds one inference's packed payloads
+// (writes_per_inference x words_per_row x 8 bytes when the hardware
+// config's cache_encoded_rows is on) plus the network description.
 //
-// Single flight: concurrent acquire() calls of one key run one build; the
-// others block (on a condition variable, not by helping the executor)
-// until it finishes. That is safe because a build never touches the
-// executor, so nothing can nest on top of a build frame and wait for it.
-// A build that throws is not cached: the builder rethrows its exception,
-// every waiter of that flight throws std::runtime_error with the same
-// message (its own object, so no exception is shared across threads), and
-// the next acquire() starts a fresh build.
+// Since duty states are pooled per sweep too (SimStatePool), a stream is
+// built only for the points that simulate: one per distinct simulation
+// fingerprint, not one per point.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "core/lease_pool.hpp"
 #include "dnn/network.hpp"
 #include "dnn/weight_gen.hpp"
 #include "quant/word_codec.hpp"
@@ -60,75 +45,7 @@ struct StreamPipeline {
   std::unique_ptr<sim::WriteStream> stream;
 };
 
-struct StreamPoolStats {
-  std::uint64_t builds = 0;         ///< builds started, failed ones included
-  std::uint64_t failed_builds = 0;  ///< builds that threw
-  std::uint64_t reuses = 0;         ///< acquisitions served without a build
-  std::uint64_t joins = 0;          ///< acquisitions that waited on a build
-  std::uint64_t resident = 0;       ///< pipelines currently held
-  std::uint64_t leased_keys = 0;    ///< keys currently leased
-};
-
-/// Thread-safe, single-flight pool of stream pipelines keyed by stream
-/// key. All methods may be called concurrently.
-class StreamPool {
- public:
-  using PipelinePtr = std::shared_ptr<const StreamPipeline>;
-  using Builder = std::function<PipelinePtr()>;
-
-  /// Keeps its keys' pipelines resident until it is dropped. Move-only;
-  /// must not outlive the pool that issued it.
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept;
-    Lease& operator=(Lease&& other) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { reset(); }
-
-    /// Drop the lease now (idempotent).
-    void reset() noexcept;
-
-   private:
-    friend class StreamPool;
-    StreamPool* pool_ = nullptr;
-    std::vector<std::string> keys_;
-  };
-
-  StreamPool() = default;
-  StreamPool(const StreamPool&) = delete;
-  StreamPool& operator=(const StreamPool&) = delete;
-
-  /// Declare that the caller will need `keys` until the lease is dropped.
-  Lease lease(std::vector<std::string> keys);
-
-  /// The pipeline of `key`, running `build` only when no resident entry
-  /// or in-progress build exists (see the header comment for the rules).
-  /// `build` must not use the executor; it may throw.
-  PipelinePtr acquire(const std::string& key, const Builder& build);
-
-  StreamPoolStats stats() const;
-
- private:
-  struct Flight {
-    bool done = false;
-    bool failed = false;
-    PipelinePtr pipeline;
-    std::string error;  ///< the failed build's what()
-  };
-  struct Slot {
-    std::size_t leases = 0;
-    PipelinePtr pipeline;            ///< resident once built
-    std::shared_ptr<Flight> flight;  ///< the build in progress, if any
-  };
-
-  void release(const std::vector<std::string>& keys) noexcept;
-
-  mutable std::mutex mutex_;
-  std::condition_variable built_;
-  std::unordered_map<std::string, Slot> slots_;
-  StreamPoolStats stats_;  ///< the counters; resident/leased_keys derived
-};
+/// Single-flight pool of stream pipelines keyed by stream key.
+using StreamPool = LeasePool<StreamPipeline>;
 
 }  // namespace dnnlife::core

@@ -68,9 +68,10 @@ AttemptOutcome execute_attempt(ScenarioSpec spec, std::size_t global_index,
     AttemptOutcome out;
   };
   const auto shared = std::make_shared<Shared>();
-  // The worker owns copies of everything it touches (spec, hook, the
-  // cache shared_ptr), so an abandoned worker never dangles into the
-  // caller's frame.
+  // The worker owns copies of everything it touches (spec, hook, and the
+  // shared_ptrs of the scheduler's pools and the reuse tiers), so an
+  // abandoned worker never dangles into the caller's frame or into a
+  // scheduler that is gone; a late simulation still lands in the pool.
   std::thread worker([shared, spec = std::move(spec), hook = fault_hook,
                       run_options = std::move(run_options), global_index,
                       attempt, body]() mutable {
@@ -110,16 +111,17 @@ struct SweepScheduler::PointState {
   SuiteEntry entry;
   bool replayed = false;
   util::Executor* executor = nullptr;
-  /// Simulation fingerprint, computed at submit time when a sim cache or
-  /// store is active (run_point fills it in lazily otherwise, for the
-  /// record).
+  /// Simulation fingerprint, computed at submit time (single-flight
+  /// grouping and the duty-state lease key on it; the record carries it).
   std::string fingerprint;
   /// True while this point owns its fingerprint group: it simulates, and
   /// same-fingerprint submissions park behind it until it completes.
   bool leads = false;
-  /// Keeps the point's streams resident in the scheduler's pool while it
-  /// is queued, parked or running; dropped when it finishes.
+  /// Keep the point's streams and duty state resident in the scheduler's
+  /// pools while it is queued, parked or running; dropped when it
+  /// finishes.
   StreamPool::Lease stream_lease;
+  SimStatePool::Lease state_lease;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -213,9 +215,11 @@ struct SweepScheduler::Impl {
   Options options;
   util::Executor* executor;
   unsigned jobs;
-  /// One pool per scheduler, so every sweep starts with no streams built.
-  /// Declared before `group` so it outlives every point task.
+  /// One pair of pools per scheduler, so every sweep starts with no
+  /// streams built and no states simulated. Declared before `group` so
+  /// they outlive every point task.
   std::shared_ptr<StreamPool> stream_pool = std::make_shared<StreamPool>();
+  std::shared_ptr<SimStatePool> sim_pool = std::make_shared<SimStatePool>();
   util::TaskGroup group;
 
   // Recursive: the progress callback runs under it (serialized, like the
@@ -225,9 +229,9 @@ struct SweepScheduler::Impl {
   mutable std::recursive_mutex mutex;
   std::deque<std::shared_ptr<PointState>> queue;
   std::unordered_map<std::size_t, SuiteRecord> replay;
-  // Single-flight bookkeeping (sim_cache and/or sim_store): fingerprints
-  // currently owned by a leading point, and the same-fingerprint siblings
-  // parked off the queue until their group's entry is committed.
+  // Single-flight bookkeeping: fingerprints currently owned by a leading
+  // point, and the same-fingerprint siblings parked off the queue until
+  // their group's entry is committed.
   std::unordered_set<std::string> leaders;
   std::unordered_map<std::string, std::vector<std::shared_ptr<PointState>>>
       parked;
@@ -238,24 +242,23 @@ struct SweepScheduler::Impl {
 };
 
 void SweepScheduler::Impl::run_point(PointState& state) {
-  // Released under `mutex` below; the local owner also covers unwinding.
+  // Released under `mutex` below; the local owners also cover unwinding.
   StreamPool::Lease stream_lease = std::move(state.stream_lease);
+  SimStatePool::Lease state_lease = std::move(state.state_lease);
   const SuiteEntry& entry = state.entry;
   SuiteOutcome outcome;
   outcome.index = state.index;
   outcome.path = entry.path;
   outcome.name = entry.spec.name;
-  // The fingerprint rides in every outcome/record (hits are verifiable
-  // from sweep artifacts); submit() already computed it when a cache is
-  // active.
-  if (state.fingerprint.empty())
-    state.fingerprint = simulation_fingerprint(entry.spec);
+  // The fingerprint rides in every outcome/record (reuse is verifiable
+  // from sweep artifacts); submit() computed it.
   outcome.fingerprint = state.fingerprint;
   const auto start = std::chrono::steady_clock::now();
   const unsigned max_attempts = 1 + options.retries;
   RunScenarioOptions run_options;
   run_options.sim_cache = options.sim_cache;
   run_options.sim_store = options.sim_store;
+  run_options.sim_pool = sim_pool;
   run_options.stream_pool = stream_pool;
   AttemptOutcome last;
   unsigned attempt = 1;
@@ -300,9 +303,10 @@ void SweepScheduler::Impl::run_point(PointState& state) {
   {
     const std::lock_guard<std::recursive_mutex> lock(mutex);
     // Under `mutex`, so a batch submission (which holds it) has leased
-    // every point's streams before any of its points can drop the last
-    // lease of a shared key.
+    // every point's keys before any of its points can drop the last lease
+    // of a shared key.
     stream_lease.reset();
+    state_lease.reset();
     ++fresh_completed;
     if (options.progress) {
       // Serialized by `mutex`, like the suite runner's progress path.
@@ -390,32 +394,30 @@ SweepScheduler::Handle SweepScheduler::submit_locked(SuiteEntry entry,
     return Handle(std::move(state));
   }
   ++impl_->fresh_submitted;
+  state->fingerprint = simulation_fingerprint(state->entry.spec);
   state->stream_lease =
       impl_->stream_pool->lease(stream_keys(state->entry.spec));
-  if (impl_->options.sim_cache != nullptr ||
-      impl_->options.sim_store != nullptr) {
-    // Single-flight grouping: the first point of a fingerprint whose
-    // entry is not committed in any tier yet leads (it simulates, and
-    // with a store, durably publishes); later same-fingerprint
-    // submissions park behind it and are released — straight to cache or
-    // store hits — when it completes. Already-committed fingerprints run
-    // normally (eviction before they run just costs a redundant
-    // simulation, caught by the cache's first-wins insert / the store's
-    // atomic rename).
-    state->fingerprint = simulation_fingerprint(state->entry.spec);
-    if (impl_->leaders.contains(state->fingerprint)) {
-      impl_->parked[state->fingerprint].push_back(state);
-      return Handle(std::move(state));
-    }
-    const bool committed =
-        (impl_->options.sim_cache != nullptr &&
-         impl_->options.sim_cache->contains(state->fingerprint)) ||
-        (impl_->options.sim_store != nullptr &&
-         impl_->options.sim_store->contains(state->fingerprint));
-    if (!committed) {
-      impl_->leaders.insert(state->fingerprint);
-      state->leads = true;
-    }
+  state->state_lease = impl_->sim_pool->lease({state->fingerprint});
+  // Single-flight grouping: the first point of a fingerprint whose entry
+  // is not committed in any tier yet leads (it simulates, and with a
+  // store, durably publishes); later same-fingerprint submissions park
+  // behind it and are released — straight to hits — when it completes.
+  // Already-committed fingerprints run normally (an LRU eviction before
+  // they run just costs a redundant simulation, caught by the first-wins
+  // inserts / the store's atomic rename).
+  if (impl_->leaders.contains(state->fingerprint)) {
+    impl_->parked[state->fingerprint].push_back(state);
+    return Handle(std::move(state));
+  }
+  const bool committed =
+      impl_->sim_pool->contains(state->fingerprint) ||
+      (impl_->options.sim_cache != nullptr &&
+       impl_->options.sim_cache->contains(state->fingerprint)) ||
+      (impl_->options.sim_store != nullptr &&
+       impl_->options.sim_store->contains(state->fingerprint));
+  if (!committed) {
+    impl_->leaders.insert(state->fingerprint);
+    state->leads = true;
   }
   if (impl_->in_flight < impl_->jobs) {
     ++impl_->in_flight;
@@ -455,8 +457,12 @@ std::vector<SweepScheduler::Handle> SweepScheduler::submit_batch(
 
 void SweepScheduler::wait_all() { impl_->group.wait(); }
 
-StreamPoolStats SweepScheduler::stream_pool_stats() const {
+LeasePoolStats SweepScheduler::stream_pool_stats() const {
   return impl_->stream_pool->stats();
+}
+
+LeasePoolStats SweepScheduler::sim_pool_stats() const {
+  return impl_->sim_pool->stats();
 }
 
 std::size_t SweepScheduler::submitted() const {

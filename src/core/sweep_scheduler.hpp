@@ -19,11 +19,23 @@
 // completion *help* the executor (run pending tasks) instead of sleeping,
 // so polling a handle from a worker cannot deadlock the pool.
 //
-// Stream reuse: the scheduler owns one core::StreamPool, passed to every
-// point through RunScenarioOptions. A fresh point leases its stream keys
-// at submit and drops the lease when it finishes, so each distinct stream
-// is built once while any queued or running point needs it and is freed
-// after (see core/stream_pool.hpp). Replayed points lease nothing.
+// Reuse: the scheduler owns two core::LeasePools, passed to every point
+// through RunScenarioOptions — a StreamPool under stream keys and a
+// SimStatePool under simulation fingerprints. A fresh point leases its
+// stream keys and its fingerprint at submit and drops both when it
+// finishes, so a stream or a duty state is held while any queued or
+// running point needs it and is freed after (see core/lease_pool.hpp).
+// Replayed points lease nothing.
+//
+// Single flight is always on: the first point of a fingerprint that no
+// tier holds yet leads — it simulates — and later same-fingerprint
+// submissions park off the queue until it finishes. On success they go
+// to the queue front together, so a fingerprint's points run next to each
+// other and the resident duty states stay around `jobs` however the grid
+// interleaves its fingerprints. On failure the next sibling is promoted
+// to leader. Every sweep therefore simulates each distinct write stream
+// once, with no flag. The explicit SimCache / SimStore tiers, when given,
+// are consulted before the pool (see core/sim_cache.hpp for why).
 //
 // Journal integration matches the suite runner: fresh outcomes are
 // appended (flushed) before they are announced, and submitting an index
@@ -39,6 +51,7 @@
 #include <vector>
 
 #include "core/scenario_suite.hpp"
+#include "core/sim_cache.hpp"
 #include "core/stream_pool.hpp"
 
 namespace dnnlife::util {
@@ -76,23 +89,17 @@ class SweepScheduler {
     /// Progress denominator. 0 means "count submissions so far" — right
     /// for open-ended adaptive use; batch callers pass their plan size.
     std::size_t expected_total = 0;
-    /// Shared duty-state cache (see core/sim_cache.hpp). Non-null enables
-    /// content-addressed simulation reuse: points run through the
-    /// cache-aware run_scenario, and the admission chain groups queued
-    /// points by simulation fingerprint — while one point of a group
-    /// simulates, its siblings are parked off the queue and only released
-    /// once the shared entry is committed (single-flight: exactly one
-    /// simulation per distinct fingerprint, even at full concurrency).
-    /// Held by shared_ptr because abandoned soft-deadline attempts may
-    /// still touch the cache after the scheduler is gone.
+    /// Optional duty-state LRU (see core/sim_cache.hpp), consulted before
+    /// the scheduler's own pool; it adds reuse across sweeps in one
+    /// process. A fingerprint it already holds is not grouped (its points
+    /// are hits). Held by shared_ptr because abandoned soft-deadline
+    /// attempts may still touch it after the scheduler is gone.
     std::shared_ptr<SimCache> sim_cache;
-    /// Disk tier under the cache (core/sim_store.hpp). Non-null also
-    /// enables the single-flight grouping above (with or without a
-    /// memory cache): the leader of a fingerprint group durably
-    /// publishes its entry before its siblings are released, so even
-    /// store-only runs — and sibling shards sharing the directory —
-    /// simulate each distinct stream once. Same shared_ptr lifetime
-    /// rationale as the cache.
+    /// Optional disk tier (core/sim_store.hpp), consulted after the cache
+    /// and before the pool. The leader of a fingerprint group durably
+    /// publishes its entry before its siblings are released, so sibling
+    /// shards sharing the directory simulate each distinct stream once.
+    /// Same shared_ptr lifetime rationale as the cache.
     std::shared_ptr<SimStore> sim_store;
   };
 
@@ -175,10 +182,13 @@ class SweepScheduler {
   std::size_t submitted() const;
   std::size_t completed() const;
 
-  /// Counters of this scheduler's stream pool. After wait_all() nothing is
-  /// leased or resident: streams live only while a queued or running
-  /// point needs them.
-  StreamPoolStats stream_pool_stats() const;
+  /// Counters of this scheduler's stream pool (builds = streams built)
+  /// and duty-state pool (builds = simulations whose state it received,
+  /// reuses = points it served). After wait_all() nothing is leased or
+  /// resident: both hold entries only while a queued or running point
+  /// needs them.
+  LeasePoolStats stream_pool_stats() const;
+  LeasePoolStats sim_pool_stats() const;
 
  private:
   struct Impl;

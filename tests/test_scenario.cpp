@@ -2,6 +2,10 @@
 // parsing and end-to-end scenario runs (hybrid regions, multi-phase).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "core/scenario.hpp"
 #include "core/workload.hpp"
 #include "util/json.hpp"
@@ -153,6 +157,77 @@ TEST(ScenarioParse, ReadsReportAndSnmCalibration) {
                    R"({"phases": [{"network": "custom_mnist"}],
                        "snm": {"snm_at_balanced": 10.0, "typo": 1}})"),
                std::invalid_argument);
+}
+
+TEST(ScenarioParse, InvalidSnmAnchorsAreDocumentErrors) {
+  // The model is built while parsing, so a bad anchor throws before a
+  // spec exists that could start a simulation.
+  const auto parse_with_snm = [](const std::string& snm) {
+    return parse_scenario(R"({"aging_model": "dual-bti",
+                              "phases": [{"network": "custom_mnist"}],
+                              "snm": )" + snm + "}");
+  };
+  try {
+    parse_with_snm(R"({"snm_at_balanced": 0})");
+    ADD_FAILURE() << "a zero balanced anchor parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("balanced anchor"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(parse_with_snm(R"({"snm_at_balanced": 30,
+                                  "snm_at_full_stress": 20})"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario(R"({"phases": [{"network": "custom_mnist"}],
+                                  "snm": {"snm_at_balanced": -1}})"),
+               std::invalid_argument);
+  // Valid anchors and an empty snm block still parse.
+  EXPECT_NO_THROW(parse_with_snm(R"({"snm_at_balanced": 9.5})"));
+  EXPECT_NO_THROW(parse_with_snm("{}"));
+}
+
+TEST(ScenarioParse, WeightMemoryGeometryIsBoundedBeforeAllocation) {
+  // Each field is in range on its own; the products are not. Parsing
+  // rejects them with a typed error before any stream or tracker exists.
+  const auto npu = [](unsigned dim, unsigned tiles, const char* format) {
+    return parse_scenario(
+        R"({"hardware": "tpu-like-npu", "format": ")" + std::string(format) +
+        R"(", "npu": {"array_dim": )" + std::to_string(dim) +
+        R"(, "fifo_tiles": )" + std::to_string(tiles) +
+        R"(}, "phases": [{"network": "custom_mnist"}]})");
+  };
+  try {
+    npu(65536, 65536, "int8-symmetric");  // 2^32 rows wrapped to 0
+    ADD_FAILURE() << "a 2^32-row FIFO parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("32-bit row count"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(npu(4096, 4096, "int8-symmetric"), std::invalid_argument);
+  EXPECT_THROW(npu(65536, 3, "int8-symmetric"), std::invalid_argument);
+  // The dormant config is part of the document too.
+  EXPECT_THROW(parse_scenario(R"({"hardware": "baseline-accelerator",
+                                  "npu": {"array_dim": 4096,
+                                          "fifo_tiles": 4096},
+                                  "phases": [{"network": "custom_mnist"}]})"),
+               std::invalid_argument);
+  const auto baseline = [](std::uint64_t bytes) {
+    return parse_scenario(
+        R"({"baseline": {"weight_memory_bytes": )" + std::to_string(bytes) +
+        R"(}, "phases": [{"network": "custom_mnist"}]})");
+  };
+  EXPECT_THROW(baseline(std::uint64_t{1} << 40), std::invalid_argument);
+  EXPECT_THROW(baseline(kMaxWeightMemoryCells / 8 + 1), std::invalid_argument);
+  EXPECT_EQ(baseline(kMaxWeightMemoryCells / 8).baseline.weight_memory_bytes,
+            kMaxWeightMemoryCells / 8);
+  // The largest shipped geometry (a 256 x 256 NPU, 4-tile FIFO, float32)
+  // clears the cap, and so does the cap itself.
+  EXPECT_EQ(npu(256, 4, "float32").npu.array_dim, 256u);
+  EXPECT_LE(std::uint64_t{256} * 4 * 256 * 32, kMaxWeightMemoryCells);
+  // 128 tiles x 256 rows x 256 x 8 bits = 2^26 cells: exactly the cap.
+  EXPECT_EQ(npu(256, 128, "int8-symmetric").npu.fifo_tiles, 128u);
+  EXPECT_THROW(npu(256, 129, "int8-symmetric"), std::invalid_argument);
 }
 
 TEST(ScenarioParse, HardwareAndFormatNamesRoundTrip) {

@@ -1,8 +1,9 @@
 // The sweep-scoped stream pool (core/stream_pool.hpp): a differential
 // oracle against per-point plain run_scenario on a seeded grid, exact
-// build counts per sweep, entry lifetime (empty after wait_all, resumed
-// sweeps included), failed-build propagation and retry, and the
-// one-worker executor shape that must not deadlock.
+// build counts per sweep (one per stream key of a simulating point), entry
+// lifetime (empty after wait_all, resumed sweeps included), failed-build
+// propagation and retry, and the one-worker executor shape that must not
+// deadlock.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -168,8 +169,9 @@ std::set<std::string> distinct_keys(const std::vector<ScenarioSpec>& specs) {
   return keys;
 }
 
-/// With a cache, only the first point of each fingerprint simulates; the
-/// rest are hits and never touch the pool.
+/// Only the first point of each fingerprint simulates; the rest are served
+/// a duty state (from the sweep's pool or a cache) and never build a
+/// stream.
 std::set<std::string> leader_keys(const std::vector<ScenarioSpec>& specs) {
   std::set<std::string> fingerprints;
   std::vector<ScenarioSpec> leaders;
@@ -229,7 +231,10 @@ TEST(StreamPoolOracle, SweepMatchesPerPointRunsAndBuildsEachKeyOnce) {
   ASSERT_EQ(keys, 8u) << "custom_mnist in 3 formats x 2 hardware kinds, "
                          "googlenet, and the cache_encoded_rows twin";
   ASSERT_LT(leader_key_count, keys)
-      << "the cache_encoded_rows twin must be a cache hit";
+      << "the cache_encoded_rows twin must reuse its sibling's duty state";
+  std::set<std::string> fingerprints;
+  for (const ScenarioSpec& spec : specs)
+    fingerprints.insert(simulation_fingerprint(spec));
 
   for (const unsigned jobs : {1u, 2u, 4u})
     for (const bool cache : {false, true}) {
@@ -237,19 +242,27 @@ TEST(StreamPoolOracle, SweepMatchesPerPointRunsAndBuildsEachKeyOnce) {
       options.jobs = jobs;
       if (cache)
         options.sim_cache = std::make_shared<SimCache>(std::size_t{64} << 20);
-      StreamPoolStats stats;
-      const std::vector<SuiteOutcome> outcomes = suite.run(options, &stats);
+      SweepPoolStats pools;
+      const std::vector<SuiteOutcome> outcomes = suite.run(options, &pools);
       for (const SuiteOutcome& outcome : outcomes)
         ASSERT_TRUE(outcome.ok) << outcome.name << ": " << outcome.error;
       EXPECT_EQ(suite_summary_json(make_suite_records(outcomes),
                                    timing_free_info(suite)),
                 expected)
           << "jobs " << jobs << ", cache " << cache;
-      EXPECT_EQ(stats.builds, cache ? leader_key_count : keys)
+      const LeasePoolStats& stats = pools.streams;
+      EXPECT_EQ(stats.builds, leader_key_count)
           << "jobs " << jobs << ", cache " << cache;
       EXPECT_EQ(stats.failed_builds, 0u);
       EXPECT_EQ(stats.resident, 0u);
       EXPECT_EQ(stats.leased_keys, 0u);
+      // Every simulation lands in the duty-state pool; the cache, when
+      // present, serves the siblings before the pool is consulted.
+      EXPECT_EQ(pools.states.builds, fingerprints.size());
+      EXPECT_EQ(pools.states.reuses,
+                cache ? 0u : specs.size() - fingerprints.size());
+      EXPECT_EQ(pools.states.resident, 0u);
+      EXPECT_EQ(pools.states.leased_keys, 0u);
     }
 }
 
@@ -282,12 +295,12 @@ TEST(StreamPoolLifetime, EmptyAfterWaitAllIncludingResumedSweeps) {
         std::span<const std::size_t>(indices).first(first_half));
     EXPECT_GT(scheduler.stream_pool_stats().leased_keys, 0u);
     scheduler.wait_all();
-    const StreamPoolStats stats = scheduler.stream_pool_stats();
+    const LeasePoolStats stats = scheduler.stream_pool_stats();
     EXPECT_EQ(stats.resident, 0u);
     EXPECT_EQ(stats.leased_keys, 0u);
     EXPECT_EQ(stats.builds,
-              distinct_keys(std::vector<ScenarioSpec>(
-                                specs.begin(), specs.begin() + first_half))
+              leader_keys(std::vector<ScenarioSpec>(
+                              specs.begin(), specs.begin() + first_half))
                   .size());
   }
   {  // Resume with every point: the first half replays and leases nothing.
@@ -301,12 +314,12 @@ TEST(StreamPoolLifetime, EmptyAfterWaitAllIncludingResumedSweeps) {
     scheduler.wait_all();
     for (std::size_t i = 0; i < handles.size(); ++i)
       EXPECT_EQ(handles[i].replayed(), i < first_half);
-    const StreamPoolStats stats = scheduler.stream_pool_stats();
+    const LeasePoolStats stats = scheduler.stream_pool_stats();
     EXPECT_EQ(stats.resident, 0u);
     EXPECT_EQ(stats.leased_keys, 0u);
     EXPECT_EQ(stats.builds,
-              distinct_keys(std::vector<ScenarioSpec>(
-                                specs.begin() + first_half, specs.end()))
+              leader_keys(std::vector<ScenarioSpec>(specs.begin() + first_half,
+                                                    specs.end()))
                   .size());
   }
   {  // A resume where every point replays builds nothing.
@@ -316,7 +329,7 @@ TEST(StreamPoolLifetime, EmptyAfterWaitAllIncludingResumedSweeps) {
     SweepScheduler scheduler(options);
     scheduler.submit_batch(suite.entries(), indices);
     scheduler.wait_all();
-    const StreamPoolStats stats = scheduler.stream_pool_stats();
+    const LeasePoolStats stats = scheduler.stream_pool_stats();
     EXPECT_EQ(stats.builds, 0u);
     EXPECT_EQ(stats.leased_keys, 0u);
   }
@@ -330,14 +343,14 @@ TEST(StreamPoolLifetime, UnleasedKeysAreBuiltButNeverCached) {
     ++builds;
     return std::make_shared<const StreamPipeline>();
   };
-  const StreamPool::PipelinePtr first = pool.acquire("k", build);
-  const StreamPool::PipelinePtr second = pool.acquire("k", build);
+  const StreamPool::ValuePtr first = pool.acquire("k", build);
+  const StreamPool::ValuePtr second = pool.acquire("k", build);
   EXPECT_NE(first, second);
   EXPECT_EQ(builds.load(), 2);
   EXPECT_EQ(pool.stats().resident, 0u);
 
   StreamPool::Lease lease = pool.lease({"k"});
-  const StreamPool::PipelinePtr leased = pool.acquire("k", build);
+  const StreamPool::ValuePtr leased = pool.acquire("k", build);
   EXPECT_EQ(pool.acquire("k", build), leased);
   EXPECT_EQ(builds.load(), 3);
   EXPECT_EQ(pool.stats().resident, 1u);
@@ -361,12 +374,12 @@ TEST(StreamPoolFailures, ThrowingBuildFailsEveryWaiterAndIsRebuiltOnRetry) {
     started.set_value();
     released.wait();
     throw std::runtime_error("stream build failed");
-    return StreamPool::PipelinePtr();
+    return StreamPool::ValuePtr();
   };
   const auto never = [&] {
     ++builds;
     ADD_FAILURE() << "a waiter started its own build";
-    return StreamPool::PipelinePtr();
+    return StreamPool::ValuePtr();
   };
 
   constexpr int kWaiters = 4;
@@ -390,13 +403,13 @@ TEST(StreamPoolFailures, ThrowingBuildFailsEveryWaiterAndIsRebuiltOnRetry) {
 
   for (const std::string& error : errors)
     EXPECT_EQ(error, "stream build failed");
-  StreamPoolStats stats = pool.stats();
+  LeasePoolStats stats = pool.stats();
   EXPECT_EQ(stats.builds, 1u);
   EXPECT_EQ(stats.failed_builds, 1u);
   EXPECT_EQ(stats.resident, 0u) << "a failed build must not be cached";
 
   // The next acquire rebuilds, and its success is cached.
-  const StreamPool::PipelinePtr rebuilt = pool.acquire(
+  const StreamPool::ValuePtr rebuilt = pool.acquire(
       "k", [] { return std::make_shared<const StreamPipeline>(); });
   ASSERT_NE(rebuilt, nullptr);
   stats = pool.stats();
@@ -416,8 +429,8 @@ TEST(StreamPoolFailures, FailingStreamIsEachPointsErrorAndRetriesRebuild) {
   SuiteRunOptions options;
   options.jobs = 4;
   options.retries = 2;
-  StreamPoolStats stats;
-  const std::vector<SuiteOutcome> outcomes = suite.run(options, &stats);
+  SweepPoolStats pools;
+  const std::vector<SuiteOutcome> outcomes = suite.run(options, &pools);
   ASSERT_EQ(outcomes.size(), specs.size());
   for (const SuiteOutcome& outcome : outcomes) {
     EXPECT_FALSE(outcome.ok);
@@ -426,20 +439,21 @@ TEST(StreamPoolFailures, FailingStreamIsEachPointsErrorAndRetriesRebuild) {
               std::string::npos)
         << outcome.error;
   }
-  // Failed builds are not cached: each attempt builds or joins a build in
-  // flight, and a point's attempts are sequential, so its three attempts
-  // need three distinct builds.
-  EXPECT_EQ(stats.failed_builds, stats.builds);
-  EXPECT_GE(stats.builds, 3u);
-  EXPECT_EQ(stats.resident, 0u);
-  EXPECT_EQ(stats.leased_keys, 0u);
+  // Failed builds are not cached, and the six points share a fingerprint,
+  // so they run one at a time: each failing leader hands the group to the
+  // next sibling, and every one of the 6 x 3 attempts builds anew.
+  EXPECT_EQ(pools.streams.builds, 18u);
+  EXPECT_EQ(pools.streams.failed_builds, 18u);
+  EXPECT_EQ(pools.streams.resident, 0u);
+  EXPECT_EQ(pools.streams.leased_keys, 0u);
+  EXPECT_EQ(pools.states.builds, 0u) << "nothing simulated";
 
   // One point, serial: every retry is exactly one more build.
   const ScenarioSuite single = suite_of({specs.front()});
   options.jobs = 1;
-  single.run(options, &stats);
-  EXPECT_EQ(stats.builds, 3u);
-  EXPECT_EQ(stats.failed_builds, 3u);
+  single.run(options, &pools);
+  EXPECT_EQ(pools.streams.builds, 3u);
+  EXPECT_EQ(pools.streams.failed_builds, 3u);
 }
 
 // ---- executor shape ----------------------------------------------------------
@@ -456,13 +470,13 @@ TEST(StreamPoolExecutor, OneWorkerWithNestedFanOutCompletes) {
   SuiteRunOptions options;
   options.jobs = 2;
   options.threads_per_scenario = 2;
-  StreamPoolStats stats;
-  const std::vector<SuiteOutcome> outcomes = suite.run(options, &stats);
+  SweepPoolStats pools;
+  const std::vector<SuiteOutcome> outcomes = suite.run(options, &pools);
   util::Executor::configure_session(0);  // restore hardware sizing
   EXPECT_EQ(suite_summary_json(make_suite_records(outcomes),
                                timing_free_info(suite)),
             expected);
-  EXPECT_EQ(stats.builds, distinct_keys(specs).size());
+  EXPECT_EQ(pools.streams.builds, leader_keys(specs).size());
 }
 
 }  // namespace

@@ -139,14 +139,17 @@ TEST_F(SweepKillResume, InjectedCrashLeavesAResumableJournal) {
   args.push_back("--json=" + reference.string());
   ASSERT_EQ(run_runner(args), 0);
 
-  // Crash at the shard's third point (global index 7). With --jobs=1 the
-  // points run in shard order, so exactly indices 1 and 4 are journaled.
+  // Crash at the shard's third point to run (global index 13). The policy
+  // axis splits the shard into two fingerprint groups, and single flight
+  // runs a group's points next to each other: with --jobs=1 the order is
+  // 1, 7, 13 (inversion), then 4, 10 — so exactly indices 1 and 7 are
+  // journaled.
   args = shard_args();
   args.push_back("--journal=" + journal.string());
-  args.push_back("--inject-fault=7:exit");
+  args.push_back("--inject-fault=13:exit");
   ASSERT_EQ(run_runner(args), 40);
   ASSERT_TRUE(fs::exists(journal));
-  EXPECT_EQ(count_lines(journal), 3u);  // header + indices 1, 4
+  EXPECT_EQ(count_lines(journal), 3u);  // header + indices 1, 7
 
   // Resume: finishes the remaining points and rebuilds the summary.
   args = shard_args();
