@@ -29,7 +29,7 @@
 #include "core/experiment.hpp"
 #include "core/workload.hpp"
 #include "util/cli.hpp"
-#include "util/parallel.hpp"
+#include "util/executor.hpp"
 #include "util/table.hpp"
 
 namespace {

@@ -11,8 +11,9 @@
 // --threads sets the report shard count (default 1 — the per-cell/batched
 // comparison is cleanest single-threaded; results are bit-identical for
 // any value). --json writes the timings plus the duty-kernel variant — CI
-// gates the batched seconds against bench/bench_throughput_reference.json
-// (pre-batching baselines), failing on a >2x regression.
+// gates the batched seconds against bench/bench_throughput_reference.json,
+// failing on a >2x regression or on a per-cell / batched speedup below the
+// per-model floor committed there.
 #include <chrono>
 #include <cmath>
 #include <fstream>

@@ -37,14 +37,16 @@ TimelineScan scan_timeline(std::span<const StressSegment> timeline) {
   return scan;
 }
 
-/// Relative step of the central finite differences below: cbrt(epsilon),
-/// the accuracy-optimal choice for a central difference.
+/// Relative step of DeviceAgingModel's default central-difference slope:
+/// cbrt(epsilon), the accuracy-optimal choice for a central difference.
 constexpr double kFiniteDifferenceStep = 6e-6;
 
 /// Equivalent-time composition of a multi-segment timeline over per-segment
-/// curves: `Curve` provides degradation(years) and years_to_reach(target)
-/// at one segment's duty and environment. The base class binds curves to
-/// the virtual calls; a model binds curves on its hoisted per-segment
+/// curves. `Curve` provides degradation(years), slope(years) and
+/// years_to_reach(target[, hint]) at one segment's duty and environment;
+/// the hinted inversion may start its search at `hint` (a previous
+/// equivalent time) or ignore it. The base class binds curves to the
+/// virtual calls; a model binds curves on its hoisted per-segment
 /// constants — one composition, whatever the curve.
 template <class Curve>
 class ComposedTimeline {
@@ -78,25 +80,56 @@ class ComposedTimeline {
   }
 
   /// Years until degradation() reaches `threshold` (> 0). Same safeguarded
-  /// Newton as years_to_reach, over the composed curve. The composition has
-  /// no model-provided derivative, so the slope is a central finite
-  /// difference — still ~10x fewer curve evaluations than bisection.
-  double years_to_failure(double threshold, double initial_hi) const {
-    const auto curve = [this](double years) { return degradation(years); };
-    const auto slope = [&](double years) {
-      const double scale = years > 0.0 ? years : 1.0;
-      const double h = scale * kFiniteDifferenceStep;
-      const double below = years > h ? years - h : 0.0;
-      return (curve(years + h) - curve(below)) / (years + h - below);
+  /// Newton as years_to_reach, over the composed curve, at one composed
+  /// evaluation per iterate: the exact slope comes out of the same pass
+  /// as the value (invert_monotone asks for slope(t) only right after
+  /// f(t)). Each phase's equivalent-time inversion is warm-started from
+  /// its equivalent at the previous iterate; the hints live in this
+  /// object, i.e. within one solve.
+  double years_to_failure(double threshold, double initial_hi) {
+    double slope_at_last = 0.0;
+    const auto curve = [&](double years) {
+      return degradation_and_slope(years, slope_at_last);
     };
+    const auto slope = [&](double) { return slope_at_last; };
     return util::invert_monotone(curve, slope, threshold, initial_hi);
   }
 
  private:
   struct Phase {
     Curve curve;
-    double fraction;  ///< segment weight / total positive weight
+    double fraction;     ///< segment weight / total positive weight
+    double hint = 0.0;   ///< equivalent at the previous iterate (0: none)
   };
+
+  /// degradation(years) with warm-started inversions, and its derivative
+  /// in `years` by the chain rule through the composition:
+  ///   first phase      d = c'(share) * f
+  ///   later phases     d = c'(e + share) * (de/dy + f),
+  ///                    de/dy = d_prev / c'(e)
+  /// A phase skipped for a non-finite equivalent passes d through.
+  double degradation_and_slope(double years, double& slope) {
+    double total = 0.0;
+    slope = 0.0;
+    for (Phase& phase : phases_) {
+      const double share = years * phase.fraction;
+      double equivalent = 0.0;
+      double d_equivalent = 0.0;
+      if (total > 0.0) {
+        equivalent = phase.hint > 0.0
+                         ? phase.curve.years_to_reach(total, phase.hint)
+                         : phase.curve.years_to_reach(total);
+        if (!std::isfinite(equivalent)) continue;
+        phase.hint = equivalent;
+        d_equivalent = slope / phase.curve.slope(equivalent);
+      }
+      total = phase.curve.degradation(equivalent + share);
+      slope = phase.curve.slope(equivalent + share) *
+              (d_equivalent + phase.fraction);
+    }
+    return total;
+  }
+
   std::vector<Phase> phases_;
 };
 
@@ -142,8 +175,16 @@ struct VirtualCurve {
   double degradation(double years) const {
     return model->degradation(duty, years, environment);
   }
+  double slope(double years) const {
+    return model->degradation_slope(duty, years, environment);
+  }
   double years_to_reach(double target) const {
     return model->years_to_reach(duty, target, environment);
+  }
+  /// The hint is ignored: the model's own years_to_reach (a closed form,
+  /// or the default Newton) is never bypassed.
+  double years_to_reach(double target, double /*hint*/) const {
+    return years_to_reach(target);
   }
 };
 
@@ -435,6 +476,15 @@ struct PbtiHciDeviceModel::Curve {
     return util::invert_monotone(
         [this](double years) { return degradation(years); },
         [this](double years) { return slope(years); }, target, t_ref, stats);
+  }
+
+  /// The same Newton started at `hint` instead of a bracket from t_ref
+  /// (the timeline solve's warm start: equal to the cold solve to ulp
+  /// scale, not bit for bit).
+  double years_to_reach(double target, double hint) const {
+    return util::invert_monotone_from(
+        [this](double years) { return degradation(years); },
+        [this](double years) { return slope(years); }, target, hint);
   }
 };
 

@@ -75,7 +75,8 @@ class DeviceAgingModel {
                              const EnvironmentSpec& env) const = 0;
 
   /// Time derivative of degradation() at (duty, years, env), in percent
-  /// per year. Drives the Newton iteration of years_to_reach; the default
+  /// per year. Drives the Newton iteration of years_to_reach and the
+  /// chain-rule slope of the default years_to_failure composition; the default
   /// is a central finite difference over degradation(), and models whose
   /// curve has a cheap analytic derivative (the power-law family, the
   /// smooth convex PBTI+HCI sum) override it. May return 0, +inf or NaN
@@ -130,9 +131,14 @@ class DeviceAgingModel {
   /// — the lifetime of a cell whose stress history is `timeline`. Single
   /// positive-weight timelines short-circuit to years_to_reach(),
   /// bit-identically. Returns +inf when the threshold is unreachable. The
-  /// default composes through degradation() / years_to_reach() exactly as
-  /// the default degradation_on_timeline does, so a model that overrides
-  /// one of the two timeline hooks overrides both.
+  /// default runs safeguarded Newton over the same composition as the
+  /// default degradation_on_timeline (through degradation() and
+  /// years_to_reach()), at one composed evaluation per iterate: the exact
+  /// slope is carried through the composition by the chain rule from
+  /// degradation_slope(). It agrees with inverting
+  /// degradation_on_timeline to ulp scale (~1e-14 relative), not bit for
+  /// bit. A model that overrides one of the two timeline hooks overrides
+  /// both.
   virtual double years_to_failure(std::span<const StressSegment> timeline,
                                   double threshold) const;
 };
@@ -245,7 +251,10 @@ class ArrheniusNbtiDeviceModel final : public CalibratedNbtiDeviceModel {
 /// exercises the generic bracketing inversion and equivalent-time
 /// composition of DeviceAgingModel, run on per-segment curves whose
 /// amplitude terms are evaluated once per segment instead of once per
-/// curve evaluation (bit-identical to the virtual-call composition).
+/// curve evaluation. degradation_on_timeline is bit-identical to the
+/// virtual-call composition; years_to_failure additionally warm-starts
+/// each segment's equivalent-time Newton from its previous equivalent,
+/// which moves only the last bits.
 class PbtiHciDeviceModel final : public DeviceAgingModel {
  public:
   struct Params {

@@ -1,10 +1,12 @@
 #include "core/fast_simulator.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/transducer.hpp"
 #include "sim/write_visit.hpp"
-#include "util/parallel.hpp"
+#include "util/executor.hpp"
 
 namespace dnnlife::core {
 
@@ -170,7 +172,15 @@ aging::DutyCycleTracker simulate_fast(const sim::WriteStream& stream,
       }
     }
   };
-  util::parallel_for_shards(geometry.rows, options.threads, process_rows);
+  const unsigned shards = static_cast<unsigned>(std::min<std::uint64_t>(
+      util::resolve_thread_count(options.threads), geometry.rows));
+  if (shards <= 1) {
+    process_rows(0u, 0, geometry.rows);
+  } else {
+    util::TaskGroup group;
+    group.submit_bulk(geometry.rows, shards, process_rows);
+    group.wait();
+  }
   return tracker;
 }
 

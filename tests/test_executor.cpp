@@ -1,6 +1,6 @@
-// The session-scoped work-stealing executor: Task SBO semantics, TaskGroup
-// completion/exception/reuse, bulk submission (every index exactly once,
-// budget respected), and the load-bearing nested-fan-out property — a
+// The session-scoped work-stealing executor: the deterministic shard
+// partition, Task SBO semantics, TaskGroup completion/exception/reuse,
+// bulk submission (every index exactly once, budget respected), and the load-bearing nested-fan-out property — a
 // thread blocked in TaskGroup::wait() RUNS pending tasks instead of
 // sleeping, so fan-outs nested on the same pool cannot deadlock even with
 // a single worker. Ends with a stress test shaped like the sweep stack
@@ -23,6 +23,26 @@
 
 namespace dnnlife::util {
 namespace {
+
+// ---- shard partition ---------------------------------------------------------
+
+TEST(ShardRange, PartitionsExactlyAndDeterministically) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 7ULL, 64ULL, 1000ULL}) {
+    for (const unsigned shards : {1u, 2u, 3u, 7u, 16u}) {
+      std::uint64_t covered = 0;
+      std::uint64_t expected_begin = 0;
+      for (unsigned s = 0; s < shards; ++s) {
+        const auto [begin, end] = shard_range(n, shards, s);
+        EXPECT_EQ(begin, expected_begin);
+        EXPECT_LE(begin, end);
+        covered += end - begin;
+        expected_begin = end;
+      }
+      EXPECT_EQ(covered, n);
+      EXPECT_EQ(expected_begin, n);
+    }
+  }
+}
 
 // ---- Task (SBO callable) -----------------------------------------------------
 

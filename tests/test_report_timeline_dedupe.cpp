@@ -10,21 +10,32 @@
 // against a per-cell loop (gather, model call, in-order fold) that lives
 // here and shares no code with the driver. A counting decorator pins the
 // solve budget: one timeline solve per distinct tuple per chunk.
+//
+// The multi-segment lifetime solve itself (exact chain-rule slope,
+// warm-started equivalent-time inversions) is checked against a test-local
+// copy of the finite-difference solver it replaced, on the generated
+// timelines and on seeded random pbti-hci timelines, and its work per
+// solve is pinned in exact curve/slope/inversion counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "aging/lifetime.hpp"
 #include "aging/model_registry.hpp"
 #include "aging/report_evaluator.hpp"
 #include "aging/snm_histogram.hpp"
+#include "util/root_find.hpp"
 
 namespace dnnlife::aging {
 namespace {
@@ -395,6 +406,248 @@ TEST(ReportEvaluatorTimeline, IndexSeparatesOnesOnlyAndHighBitOnlyTuples) {
   EXPECT_EQ(index.distinct(), 3u);
   EXPECT_EQ(index.representative(0), 3u);
   EXPECT_EQ(index.id(5), 2u);
+}
+
+// ---- the multi-segment lifetime solve -----------------------------------------
+
+/// The multi-segment lifetime solve as it stood before the exact-slope
+/// rewrite, kept as the differential oracle: equivalent-time composition
+/// through the model's virtual degradation()/years_to_reach() with cold
+/// inversions, and a central finite-difference slope of the composition
+/// (three compositions per Newton step). For pbti-hci this reproduces the
+/// old hoisted-curve solver bit for bit (its curves evaluate the same
+/// expressions as the virtual calls).
+double reference_years_to_failure(const DeviceAgingModel& model,
+                                  std::span<const StressSegment> timeline,
+                                  double threshold) {
+  double total_weight = 0.0;
+  std::size_t positive = 0;
+  const StressSegment* single = nullptr;
+  for (const StressSegment& segment : timeline) {
+    if (segment.weight <= 0.0) continue;
+    total_weight += segment.weight;
+    single = ++positive == 1 ? &segment : nullptr;
+  }
+  if (single != nullptr)
+    return model.years_to_reach(single->duty, threshold, single->environment);
+  if (threshold <= 0.0) return 0.0;
+  const auto composed = [&](double years) {
+    double total = 0.0;
+    for (const StressSegment& segment : timeline) {
+      if (segment.weight <= 0.0) continue;
+      const double share = years * (segment.weight / total_weight);
+      double equivalent = 0.0;
+      if (total > 0.0) {
+        equivalent =
+            model.years_to_reach(segment.duty, total, segment.environment);
+        if (!std::isfinite(equivalent)) continue;
+      }
+      total = model.degradation(segment.duty, equivalent + share,
+                                segment.environment);
+    }
+    return total;
+  };
+  const auto slope = [&](double years) {
+    const double scale = years > 0.0 ? years : 1.0;
+    const double h = scale * 6e-6;
+    const double below = years > h ? years - h : 0.0;
+    return (composed(years + h) - composed(below)) / (years + h - below);
+  };
+  return util::invert_monotone(composed, slope, threshold,
+                               model.reference_years());
+}
+
+/// Relative bound of the oracle comparison (the largest difference
+/// measured on these timelines is ~1e-14: both solvers stop within a few
+/// ulps of the crossing, from different iterates).
+constexpr double kOracleRelTol = 1e-12;
+
+/// Compare one solve against the oracle: +inf exactly where the oracle is
+/// +inf, otherwise within kOracleRelTol. Returns the relative difference.
+double expect_matches_oracle(const DeviceAgingModel& model,
+                             std::span<const StressSegment> timeline,
+                             double threshold) {
+  const double reference =
+      reference_years_to_failure(model, timeline, threshold);
+  const double solved = model.years_to_failure(timeline, threshold);
+  EXPECT_EQ(std::isinf(solved), std::isinf(reference));
+  if (std::isinf(reference)) {
+    EXPECT_EQ(solved, reference);
+    return 0.0;
+  }
+  const double error = std::abs(solved - reference) / reference;
+  EXPECT_LE(error, kOracleRelTol)
+      << "solved " << solved << " reference " << reference;
+  return error;
+}
+
+std::string format_error(double error) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%.3g", error);
+  return text;
+}
+
+/// Seeded random pbti-hci-style timelines: 2-4 segments with random duty,
+/// temperature and vdd; about one segment in six has zero weight and one
+/// in six is power-gated (activity_scale 0, so its curve never reaches a
+/// positive target); every eighth timeline is gated throughout, so its
+/// lifetime is unreachable.
+std::vector<std::vector<StressSegment>> random_timelines(std::uint64_t seed,
+                                                         std::size_t count) {
+  std::mt19937_64 rng(seed);
+  const auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  const auto one_in = [&](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng) == 0;
+  };
+  std::vector<std::vector<StressSegment>> timelines;
+  for (std::size_t i = 0; i < count; ++i) {
+    const int segments = std::uniform_int_distribution<int>(2, 4)(rng);
+    const bool all_gated = i % 8 == 7;
+    std::vector<StressSegment> timeline;
+    for (int s = 0; s < segments; ++s) {
+      StressSegment segment;
+      segment.duty = uniform(0.0, 1.0);
+      segment.weight = one_in(6) ? 0.0 : uniform(0.05, 3.0);
+      segment.environment.temperature_c = uniform(25.0, 110.0);
+      segment.environment.vdd = uniform(0.9, 1.1);
+      segment.environment.activity_scale =
+          all_gated || one_in(6) ? 0.0 : uniform(0.2, 1.0);
+      timeline.push_back(segment);
+    }
+    if (timeline.front().weight <= 0.0) timeline.front().weight = 1.0;
+    timelines.push_back(std::move(timeline));
+  }
+  return timelines;
+}
+
+TEST(TimelineSolve, MatchesFiniteDifferenceOracleOnGeneratedTimelines) {
+  const std::shared_ptr<const DeviceAgingModel> model =
+      make_aging_model("pbti-hci");
+  const double threshold = LifetimeParams{}.snm_failure_threshold;
+  double max_error = 0.0;
+  std::size_t solves = 0;
+  for (const std::size_t segment_count : {2u, 3u, 4u}) {
+    const std::vector<EnvironmentSegment> segments =
+        generate_segments(0x5eed0000 + segment_count, segment_count,
+                          ReportEvaluator::kTimelineChunkCells + 613);
+    const std::vector<EnvironmentSegmentView> views = segment_views(segments);
+    std::set<std::vector<std::uint32_t>> seen;
+    std::vector<StressSegment> history;
+    for (std::size_t cell = 0; cell < segments.front().tracker.cell_count();
+         ++cell) {
+      std::vector<std::uint32_t> key;
+      for (const EnvironmentSegment& segment : segments) {
+        key.push_back(segment.tracker.ones_time()[cell]);
+        key.push_back(segment.tracker.total_time()[cell]);
+      }
+      if (!seen.insert(key).second) continue;
+      if (gather_cell_segments(views, cell, history).total == 0) continue;
+      SCOPED_TRACE("cell " + std::to_string(cell));
+      max_error = std::max(max_error,
+                           expect_matches_oracle(*model, history, threshold));
+      ++solves;
+    }
+  }
+  EXPECT_GT(solves, 100u);
+  RecordProperty("max_relative_error", format_error(max_error));
+}
+
+TEST(TimelineSolve, MatchesFiniteDifferenceOracleOnRandomTimelines) {
+  const PbtiHciDeviceModel model;
+  double max_error = 0.0;
+  std::size_t unreachable = 0;
+  const auto timelines = random_timelines(0x7157a11e, 400);
+  for (std::size_t i = 0; i < timelines.size(); ++i) {
+    for (const double threshold : {2.0, 12.0, 20.0, 40.0}) {
+      SCOPED_TRACE("timeline " + std::to_string(i) + ", threshold " +
+                   std::to_string(threshold));
+      max_error = std::max(
+          max_error, expect_matches_oracle(model, timelines[i], threshold));
+      if (std::isinf(model.years_to_failure(timelines[i], threshold)))
+        ++unreachable;
+    }
+  }
+  // The generator must exercise the unreachable branch.
+  EXPECT_GE(unreachable, 4u * (timelines.size() / 8));
+  RecordProperty("max_relative_error", format_error(max_error));
+}
+
+/// pbti-hci through the generic base-class paths: forwards degradation()
+/// and degradation_slope(), leaves years_to_reach() and the timeline
+/// hooks to DeviceAgingModel (so the composition runs on virtual-call
+/// curves), and counts the three per-curve calls.
+class CountingCurveModel final : public DeviceAgingModel {
+ public:
+  std::string_view name() const noexcept override { return "counting"; }
+  double reference_years() const noexcept override {
+    return inner_.reference_years();
+  }
+  double degradation(double duty, double years,
+                     const EnvironmentSpec& env) const override {
+    ++degradations;
+    return inner_.degradation(duty, years, env);
+  }
+  double degradation_slope(double duty, double years,
+                           const EnvironmentSpec& env) const override {
+    ++slopes;
+    return inner_.degradation_slope(duty, years, env);
+  }
+  double years_to_reach(double duty, double target,
+                        const EnvironmentSpec& env) const override {
+    ++inversions;
+    return DeviceAgingModel::years_to_reach(duty, target, env);
+  }
+
+  mutable int degradations = 0;
+  mutable int slopes = 0;
+  mutable int inversions = 0;
+
+ private:
+  PbtiHciDeviceModel inner_;
+};
+
+TEST(TimelineSolve, PinsTheWorkOfOneThreeSegmentSolve) {
+  const auto env = [](double temperature_c, double activity_scale) {
+    return EnvironmentSpec{temperature_c, 1.0, activity_scale};
+  };
+  struct Case {
+    std::vector<StressSegment> timeline;
+    int degradations, slopes, inversions;  // exact-slope solve
+    int reference_degradations, reference_slopes, reference_inversions;
+  };
+  // Per solve: ~5 Newton iterates at one composition each, against ~5
+  // iterates at three compositions for the finite-difference oracle. The
+  // last case's power-gated middle phase never reaches a positive target,
+  // so each of its inversions pays the full failed bracket (201 curve
+  // evaluations) in both solvers.
+  const std::vector<Case> cases = {
+      {{{0.8, 2.0, env(55.0, 1.0)}, {0.6, 1.0, env(95.0, 1.0)},
+        {0.9, 1.0, env(85.0, 1.0)}}, 65, 65, 10, 169, 104, 26},
+      {{{0.5, 1.0, env(40.0, 1.0)}, {0.1, 1.0, env(70.0, 0.5)},
+        {0.97, 3.0, env(105.0, 1.0)}}, 65, 65, 10, 169, 104, 26},
+      {{{0.3, 1.0, env(85.0, 1.0)}, {0.7, 2.0, env(55.0, 0.0)},
+        {0.5, 1.0, env(55.0, 1.0)}}, 1048, 32, 10, 2306, 37, 22},
+  };
+  const double threshold = LifetimeParams{}.snm_failure_threshold;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const Case& c = cases[i];
+    CountingCurveModel model;
+    const double solved = model.years_to_failure(c.timeline, threshold);
+    EXPECT_EQ(model.degradations, c.degradations);
+    EXPECT_EQ(model.slopes, c.slopes);
+    EXPECT_EQ(model.inversions, c.inversions);
+
+    CountingCurveModel reference_model;
+    const double reference =
+        reference_years_to_failure(reference_model, c.timeline, threshold);
+    EXPECT_EQ(reference_model.degradations, c.reference_degradations);
+    EXPECT_EQ(reference_model.slopes, c.reference_slopes);
+    EXPECT_EQ(reference_model.inversions, c.reference_inversions);
+    EXPECT_NEAR(solved, reference, reference * kOracleRelTol);
+  }
 }
 
 }  // namespace
