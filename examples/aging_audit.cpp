@@ -23,28 +23,9 @@
 #include "aging/model_registry.hpp"
 #include "core/experiment.hpp"
 #include "core/fast_simulator.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-dnnlife::quant::WeightFormat parse_format(const std::string& name) {
-  using dnnlife::quant::WeightFormat;
-  if (name == "float32") return WeightFormat::kFloat32;
-  if (name == "int8-symmetric") return WeightFormat::kInt8Symmetric;
-  if (name == "int8-asymmetric") return WeightFormat::kInt8Asymmetric;
-  throw std::invalid_argument("unknown format: " + name);
-}
-
-bool flag_value(const std::string& arg, const std::string& name,
-                std::string& value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  value = arg.substr(prefix.size());
-  return true;
-}
-
-}  // namespace
 
 int run_audit(int argc, char** argv) {
   using namespace dnnlife;
@@ -52,36 +33,37 @@ int run_audit(int argc, char** argv) {
 
   core::ExperimentConfig config;
   std::string csv_path;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "aging-model", value)) {
-      config.aging_model = value;
-    } else if (flag_value(arg, "temperature", value)) {
-      config.environment.temperature_c = std::stod(value);
-    } else if (flag_value(arg, "vdd", value)) {
-      config.environment.vdd = std::stod(value);
-    } else if (flag_value(arg, "activity", value)) {
-      config.environment.activity_scale = std::stod(value);
-    } else if (flag_value(arg, "csv", value)) {
-      csv_path = value;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 1;
-    } else {
-      positional.push_back(arg);
-    }
-  }
+  util::OptionTable flags(
+      "example_aging_audit",
+      {"[network] [format] [hardware] [inferences] [flags]"}, 4);
+  flags
+      .string_option("aging-model", "NAME",
+                     "device model from the AgingModelRegistry",
+                     config.aging_model)
+      .double_option("temperature", "C",
+                     "operating temperature [C] (default 55, nominal)",
+                     config.environment.temperature_c)
+      .double_option("vdd", "V", "supply voltage relative to nominal",
+                     config.environment.vdd)
+      .double_option("activity", "A", "fraction of lifetime under stress",
+                     config.environment.activity_scale)
+      .string_option("csv", "PATH", "export the per-region lifetime breakdown",
+                     csv_path);
+  if (!flags.parse(argc, argv)) return 1;
+  const std::vector<std::string>& positional = flags.positionals();
   config.network = positional.size() > 0 ? positional[0] : "custom_mnist";
-  config.format =
-      parse_format(positional.size() > 1 ? positional[1] : "int8-symmetric");
+  config.format = quant::weight_format_from_string(
+      positional.size() > 1 ? positional[1] : "int8-symmetric");
   const std::string hardware = positional.size() > 2 ? positional[2] : "npu";
+  if (hardware != "npu" && hardware != "baseline")
+    throw std::invalid_argument("unknown hardware '" + hardware +
+                                "' (expected npu or baseline)");
   config.hardware = hardware == "baseline" ? core::HardwareKind::kBaseline
                                            : core::HardwareKind::kTpuNpu;
-  config.inferences = positional.size() > 3
-                          ? static_cast<unsigned>(std::stoul(positional[3]))
-                          : 100;
+  if (positional.size() > 3 &&
+      !util::parse_unsigned_flag(positional[3], config.inferences))
+    throw std::invalid_argument("inferences expects a whole number, got '" +
+                                positional[3] + "'");
   // Fail flag mistakes before the (expensive) workbench build.
   aging::AgingModelRegistry::instance().check(config.aging_model);
   aging::validate_environment(config.environment);

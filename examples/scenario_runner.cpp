@@ -39,19 +39,16 @@
 // NBTI model — the temperature-corner deployment the paper's single
 // operating point cannot express.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <vector>
 
+#include "core/runner_options.hpp"
 #include "core/scenario.hpp"
-#include "core/sim_cache.hpp"
-#include "core/sim_store.hpp"
-#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/executor.hpp"
+#include "util/fsio.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -75,110 +72,50 @@ constexpr const char* kDefaultScenario = R"json({
   "threads": 2
 })json";
 
-bool flag_value(const std::string& arg, const std::string& name,
-                std::string& value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  value = arg.substr(prefix.size());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace dnnlife;
-  std::string text = kDefaultScenario;
-  bool have_file = false;
   std::string aging_model_override;
   std::string csv_path;
-  std::optional<unsigned> jobs;
-  std::optional<unsigned> executor_threads;
-  unsigned sim_cache_mb = 0;
-  std::string sim_store_dir;
+  unsigned jobs = 0;
+  core::SessionFlags session;
   std::vector<std::pair<std::size_t, double>> phase_temps;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "aging-model", value)) {
-      aging_model_override = value;
-    } else if (flag_value(arg, "jobs", value)) {
-      unsigned parsed = 0;
-      if (!util::parse_unsigned_flag(value, parsed)) {
-        std::cerr << "--jobs expects a number, got '" << value << "'\n";
-        return 1;
-      }
-      if (parsed > 1024) {
-        std::cerr << "--jobs=" << parsed
-                  << " exceeds the per-scenario budget bound of 1024; it is "
-                     "a concurrency budget on the shared executor — use "
-                     "--executor-threads to size the actual workers\n";
-        return 1;
-      }
-      jobs = parsed;
-    } else if (flag_value(arg, "executor-threads", value)) {
-      unsigned parsed = 0;
-      if (!util::parse_unsigned_flag(value, parsed) || parsed > 4096) {
-        std::cerr << "--executor-threads expects a worker count in 0..4096 "
-                     "(0 = hardware concurrency), got '" << value << "'\n";
-        return 1;
-      }
-      executor_threads = parsed;
-    } else if (flag_value(arg, "phase-temp", value)) {
-      const std::size_t colon = value.find(':');
-      const std::string index = value.substr(0, colon);
-      if (colon == std::string::npos || index.empty() ||
-          index.find_first_not_of("0123456789") != std::string::npos) {
-        std::cerr << "--phase-temp expects IDX:CELSIUS, got '" << value
-                  << "'\n";
-        return 1;
-      }
-      try {
-        phase_temps.emplace_back(std::stoul(index),
-                                 std::stod(value.substr(colon + 1)));
-      } catch (const std::exception&) {
-        std::cerr << "--phase-temp expects IDX:CELSIUS, got '" << value
-                  << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "csv", value)) {
-      csv_path = value;
-    } else if (flag_value(arg, "sim-cache-mb", value)) {
-      unsigned parsed = 0;
-      if (!util::parse_unsigned_flag(value, parsed) || parsed > (1u << 20)) {
-        std::cerr << "--sim-cache-mb expects a MiB budget in 0..1048576 "
-                     "(0 disables), got '" << value << "'\n";
-        return 1;
-      }
-      sim_cache_mb = parsed;
-    } else if (flag_value(arg, "sim-store", value)) {
-      if (value.empty()) {
-        std::cerr << "--sim-store expects a directory path\n";
-        return 1;
-      }
-      sim_store_dir = value;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 1;
-    } else if (have_file) {
-      std::cerr << "at most one scenario file may be given (got '" << arg
-                << "' after another positional argument)\n";
-      return 1;
-    } else {
-      std::ifstream file(arg);
-      if (!file) {
-        std::cerr << "cannot open scenario file '" << arg << "'\n";
-        return 1;
-      }
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      text = buffer.str();
-      have_file = true;
-    }
-  }
+  util::OptionTable flags("example_scenario_runner",
+                          {"[scenario.json] [flags]"}, 1);
+  flags
+      .string_option("aging-model", "NAME",
+                     "device model from the AgingModelRegistry",
+                     aging_model_override)
+      .custom_option("phase-temp", "IDX:C",
+                     "temperature [C] of phase IDX (repeatable)",
+                     [&](const std::string& value) {
+                       const std::size_t colon = value.find(':');
+                       unsigned index = 0;
+                       double celsius = 0.0;
+                       if (colon == std::string::npos ||
+                           !util::parse_unsigned_flag(value.substr(0, colon),
+                                                      index) ||
+                           !util::parse_double_flag(value.substr(colon + 1),
+                                                    celsius))
+                         return false;
+                       phase_temps.emplace_back(index, celsius);
+                       return true;
+                     })
+      .unsigned_option("jobs", "N",
+                       "concurrency budget (0 = hardware; overrides the "
+                       "document's \"threads\")",
+                       jobs, core::kMaxScenarioThreads)
+      .string_option("csv", "PATH", "export the per-region lifetime breakdown",
+                     csv_path);
+  core::add_session_options(flags, session);
+  if (!flags.parse(argc, argv)) return 1;
 
   core::ScenarioSpec spec;
   try {
-    spec = core::parse_scenario(text);
+    spec = core::parse_scenario(flags.positionals().empty()
+                                    ? kDefaultScenario
+                                    : util::read_file(flags.positionals()[0]));
     if (!aging_model_override.empty()) {
       if (!aging::AgingModelRegistry::instance().contains(
               aging_model_override))
@@ -201,9 +138,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (jobs.has_value()) spec.threads = *jobs;
-  if (executor_threads.has_value())
-    util::Executor::configure_session(*executor_threads);
+  if (flags.given("jobs")) spec.threads = jobs;
+  if (flags.given("executor-threads"))
+    util::Executor::configure_session(session.executor_threads);
   std::cout << "scenario: " << spec.name << " ("
             << core::to_string(spec.hardware) << ", "
             << quant::to_string(spec.format) << ", model " << spec.aging_model
@@ -215,15 +152,15 @@ int main(int argc, char** argv) {
   // Runtime validation (e.g. an unreachable lifetime threshold for the
   // selected model) must reach the user as cleanly as parse errors.
   std::shared_ptr<core::SimCache> sim_cache;
-  if (sim_cache_mb > 0)
+  if (session.sim_cache_mb > 0)
     sim_cache = std::make_shared<core::SimCache>(
-        static_cast<std::size_t>(sim_cache_mb) * 1024 * 1024);
+        static_cast<std::size_t>(session.sim_cache_mb) * 1024 * 1024);
   std::shared_ptr<core::SimStore> sim_store;
-  if (!sim_store_dir.empty()) {
+  if (!session.sim_store_dir.empty()) {
     try {
       // Validated up front: created if missing, probe-written.
       sim_store = std::make_shared<core::SimStore>(
-          core::SimStore::Options{sim_store_dir, 0});
+          core::SimStore::Options{session.sim_store_dir, 0});
     } catch (const std::exception& error) {
       std::cerr << "sim store error: " << error.what() << "\n";
       return 1;
@@ -315,30 +252,10 @@ int main(int argc, char** argv) {
   if (csv)
     std::cout << "per-region lifetime breakdown written to " << csv_path
               << "\n";
-  if (sim_cache) {
-    const core::SimCacheStats stats = sim_cache->stats();
-    std::cout << "sim cache: " << stats.hits << " hit"
-              << (stats.hits == 1 ? "" : "s") << ", " << stats.misses
-              << " miss" << (stats.misses == 1 ? "" : "es") << ", "
-              << stats.evictions << " evicted, " << stats.entries
-              << " resident ("
-              << util::Table::num(
-                     static_cast<double>(stats.bytes_in_use) / (1024.0 * 1024.0),
-                     1)
-              << " MB; fingerprint " << core::simulation_fingerprint(spec)
-              << ")\n";
-  }
-  if (sim_store) {
-    const core::SimStoreStats stats = sim_store->stats();
-    std::cout << "sim store: " << stats.hits << " hit"
-              << (stats.hits == 1 ? "" : "s") << ", " << stats.misses
-              << " miss" << (stats.misses == 1 ? "" : "es") << ", "
-              << stats.publishes << " publish"
-              << (stats.publishes == 1 ? "" : "es") << ", "
-              << stats.quarantined << " quarantined (dir " << sim_store_dir
-              << "; fingerprint " << core::simulation_fingerprint(spec)
-              << ")\n";
-  }
+  if (sim_cache || sim_store)
+    std::cout << core::sim_tier_stats(sim_cache.get(), sim_store.get())
+              << "simulation fingerprint "
+              << core::simulation_fingerprint(spec) << "\n";
   std::cout << "\nOne declarative spec drove network construction, "
                "quantization,\nstream generation, per-region policy engines, "
                "the environment\ntimeline and the aging/lifetime reports.\n";

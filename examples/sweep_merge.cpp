@@ -32,39 +32,27 @@
 #include "core/sweep_journal.hpp"
 #include "core/sweep_merge.hpp"
 #include "util/cli.hpp"
-
-namespace {
-
-using dnnlife::util::flag_value;
-using dnnlife::util::read_file;
-
-}  // namespace
+#include "util/fsio.hpp"
 
 int main(int argc, char** argv) {
   using namespace dnnlife;
-  std::vector<std::string> inputs;
   std::string csv_path;
   std::string json_path;
   core::MergeOptions merge_options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "csv", value)) {
-      csv_path = value;
-    } else if (flag_value(arg, "json", value)) {
-      json_path = value;
-    } else if (arg == "--allow-partial") {
-      merge_options.allow_partial = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 1;
-    } else {
-      inputs.push_back(arg);
-    }
-  }
+  util::OptionTable flags("example_sweep_merge",
+                          {"<shard.json | shard.journal>... [flags]"});
+  flags
+      .string_option("csv", "PATH", "write the merged summary as CSV",
+                     csv_path)
+      .string_option("json", "PATH", "write the merged summary as JSON",
+                     json_path)
+      .switch_option("allow-partial",
+                     "accept an incomplete shard set (exit 3 when partial)",
+                     merge_options.allow_partial);
+  if (!flags.parse(argc, argv)) return 1;
+  const std::vector<std::string>& inputs = flags.positionals();
   if (inputs.empty()) {
-    std::cerr << "usage: example_sweep_merge <shard.json | shard.journal>... "
-                 "[--csv=PATH] [--json=PATH] [--allow-partial]\n";
+    std::cerr << flags.usage();
     return 1;
   }
 
@@ -73,7 +61,7 @@ int main(int argc, char** argv) {
     std::vector<core::SuiteSummary> shards;
     shards.reserve(inputs.size());
     for (const std::string& path : inputs) {
-      const std::string text = read_file(path);
+      const std::string text = util::read_file(path);
       if (core::looks_like_sweep_journal(text)) {
         const core::SweepJournalContents journal =
             core::parse_sweep_journal(text, path);

@@ -73,7 +73,7 @@
 //                    identical sweeps are byte-comparable across runs
 //   --quiet          suppress per-scenario progress lines
 //
-// Hidden (test/CI only):
+// Testing only:
 //   --inject-fault=INDEX:KIND[:SECONDS]
 //                    deterministic fault injection at the scenario with
 //                    global index INDEX. KIND: "throw" (every attempt of
@@ -99,24 +99,25 @@
 #include <thread>
 #include <vector>
 
+#include "core/runner_options.hpp"
 #include "core/scenario_generator.hpp"
 #include "core/scenario_suite.hpp"
 #include "core/sweep_journal.hpp"
-#include "util/cli.hpp"
 #include "util/executor.hpp"
+#include "util/fsio.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-using dnnlife::util::flag_value;
+using dnnlife::util::parse_unsigned_flag;
 using dnnlife::util::read_file;
 
 bool parse_shard(const std::string& text, dnnlife::core::SuiteShard& shard) {
   const std::size_t slash = text.find('/');
   if (slash == std::string::npos) return false;
   unsigned index = 0, count = 0;
-  if (!dnnlife::util::parse_unsigned_flag(text.substr(0, slash), index) ||
-      !dnnlife::util::parse_unsigned_flag(text.substr(slash + 1), count))
+  if (!parse_unsigned_flag(text.substr(0, slash), index) ||
+      !parse_unsigned_flag(text.substr(slash + 1), count))
     return false;
   if (index < 1 || count < 1 || index > count) return false;
   shard.index = index;
@@ -130,12 +131,12 @@ struct FaultInjection {
   double seconds = 0.3;  // kDelay only
 };
 
-bool parse_inject_fault(const std::string& text, FaultInjection& out) {
+bool parse_inject_fault(const std::string& text,
+                        std::optional<FaultInjection>& out) {
   const std::size_t colon = text.find(':');
   if (colon == std::string::npos) return false;
   unsigned index = 0;
-  if (!dnnlife::util::parse_unsigned_flag(text.substr(0, colon), index))
-    return false;
+  if (!parse_unsigned_flag(text.substr(0, colon), index)) return false;
   std::string kind = text.substr(colon + 1);
   double seconds = 0.3;
   if (const std::size_t second_colon = kind.find(':');
@@ -146,12 +147,11 @@ bool parse_inject_fault(const std::string& text, FaultInjection& out) {
       return false;
     kind.resize(second_colon);
   }
-  out.index = index;
-  out.seconds = seconds;
-  if (kind == "throw") out.kind = FaultInjection::Kind::kThrow;
-  else if (kind == "delay") out.kind = FaultInjection::Kind::kDelay;
-  else if (kind == "exit") out.kind = FaultInjection::Kind::kExit;
-  else return false;
+  FaultInjection fault{index, FaultInjection::Kind::kThrow, seconds};
+  if (kind == "delay") fault.kind = FaultInjection::Kind::kDelay;
+  else if (kind == "exit") fault.kind = FaultInjection::Kind::kExit;
+  else if (kind != "throw") return false;
+  out = fault;
   return true;
 }
 
@@ -159,11 +159,9 @@ bool parse_inject_fault(const std::string& text, FaultInjection& out) {
 
 int main(int argc, char** argv) {
   using namespace dnnlife;
-  std::vector<std::string> inputs;
   unsigned jobs = 0;  // hardware concurrency
   unsigned threads_per_scenario = 0;
-  unsigned executor_threads = 0;  // DNNLIFE_EXECUTOR_THREADS, else hardware
-  bool executor_threads_set = false;
+  core::SessionFlags session;
   std::string csv_path;
   std::string json_path;
   std::string spec_path;
@@ -174,148 +172,81 @@ int main(int argc, char** argv) {
   double deadline_seconds = 0.0;
   std::optional<FaultInjection> inject;
   core::SuiteShard shard;
-  unsigned sim_cache_mb = 0;
-  bool sim_cache_set = false;
-  std::string sim_store_dir;
   unsigned sim_store_mb = 0;
-  bool sim_store_mb_set = false;
   bool omit_timing = false;
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "jobs", value)) {
-      if (!util::parse_unsigned_flag(value, jobs)) {
-        std::cerr << "--jobs expects a number, got '" << value << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "threads", value)) {
-      if (!util::parse_unsigned_flag(value, threads_per_scenario)) {
-        std::cerr << "--threads expects a number, got '" << value << "'\n";
-        return 1;
-      }
-      if (threads_per_scenario > 1024) {
-        std::cerr << "--threads=" << threads_per_scenario
-                  << " exceeds the per-scenario budget bound of 1024 (the "
-                     "scenario documents' own limit); remember it is a "
-                     "concurrency budget on the shared executor, not a "
-                     "thread count — use --executor-threads to size the "
-                     "actual workers\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "executor-threads", value)) {
-      if (!util::parse_unsigned_flag(value, executor_threads) ||
-          executor_threads > 4096) {
-        std::cerr << "--executor-threads expects a worker count in 0..4096 "
-                     "(0 = hardware concurrency), got '" << value << "'\n";
-        return 1;
-      }
-      executor_threads_set = true;
-    } else if (flag_value(arg, "journal", value)) {
-      journal_path = value;
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (flag_value(arg, "retries", value)) {
-      if (!util::parse_unsigned_flag(value, retries)) {
-        std::cerr << "--retries expects a number, got '" << value << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "deadline", value)) {
-      if (!util::parse_double_flag(value, deadline_seconds) ||
-          deadline_seconds <= 0.0) {
-        std::cerr << "--deadline expects a positive number of seconds, got '"
-                  << value << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "inject-fault", value)) {
-      FaultInjection fault;
-      if (!parse_inject_fault(value, fault)) {
-        std::cerr << "--inject-fault expects INDEX:{throw,delay,exit}"
-                     "[:SECONDS], got '" << value << "'\n";
-        return 1;
-      }
-      inject = fault;
-    } else if (flag_value(arg, "shard", value)) {
-      if (!parse_shard(value, shard)) {
-        std::cerr << "--shard expects K/N with 1 <= K <= N, got '" << value
-                  << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "sim-cache-mb", value)) {
-      if (!util::parse_unsigned_flag(value, sim_cache_mb) ||
-          sim_cache_mb > 1u << 20) {
-        std::cerr << "--sim-cache-mb expects a cache budget in MB "
-                     "(0 disables, max 1048576), got '" << value << "'\n";
-        return 1;
-      }
-      sim_cache_set = true;
-    } else if (flag_value(arg, "sim-store", value)) {
-      if (value.empty()) {
-        std::cerr << "--sim-store expects a directory path\n";
-        return 1;
-      }
-      sim_store_dir = value;
-    } else if (flag_value(arg, "sim-store-mb", value)) {
-      if (!util::parse_unsigned_flag(value, sim_store_mb) ||
-          sim_store_mb > 1u << 20) {
-        std::cerr << "--sim-store-mb expects a store budget in MB "
-                     "(0 = unbounded, max 1048576), got '" << value << "'\n";
-        return 1;
-      }
-      sim_store_mb_set = true;
-    } else if (flag_value(arg, "spec", value)) {
-      spec_path = value;
-    } else if (flag_value(arg, "materialize", value)) {
-      materialize_dir = value;
-    } else if (flag_value(arg, "csv", value)) {
-      csv_path = value;
-    } else if (flag_value(arg, "json", value)) {
-      json_path = value;
-    } else if (arg == "--omit-timing") {
-      omit_timing = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 1;
-    } else {
-      inputs.push_back(arg);
-    }
-  }
+  util::OptionTable flags(
+      "example_sweep_runner",
+      {"<dir | scenario.json...> [flags]", "--spec=SWEEP.json [flags]"});
+  flags
+      .string_option("spec", "FILE", "generate the suite from a sweep spec",
+                     spec_path)
+      .string_option("materialize", "DIR",
+                     "with --spec: write the generated documents and exit",
+                     materialize_dir)
+      .custom_option("shard", "K/N",
+                     "run only shard K of N (1 <= K <= N, 1-based)",
+                     [&](const std::string& v) {
+                       return parse_shard(v, shard);
+                     })
+      .unsigned_option("jobs", "N",
+                       "concurrent-scenario budget (0 = hardware concurrency)",
+                       jobs)
+      .unsigned_option("threads", "N",
+                       "per-scenario concurrency budget (0 = each document's "
+                       "own \"threads\")",
+                       threads_per_scenario, core::kMaxScenarioThreads);
+  core::add_session_options(flags, session);
+  flags
+      .unsigned_option("sim-store-mb", "N",
+                       "store byte budget in MB (0 = unbounded; needs "
+                       "--sim-store)",
+                       sim_store_mb, core::kMaxSimTierMb)
+      .string_option("journal", "PATH",
+                     "append every completed point to a crash-durable journal",
+                     journal_path)
+      .switch_option("resume", "with --journal: skip the points it holds",
+                     resume)
+      .unsigned_option("retries", "N", "extra attempts per failed scenario",
+                       retries)
+      .double_option("deadline", "SEC", "soft per-scenario deadline",
+                     deadline_seconds, util::OptionTable::Sign::kPositive)
+      .string_option("csv", "PATH", "write the summary as CSV", csv_path)
+      .string_option("json", "PATH", "write the summary as JSON", json_path)
+      .switch_option("omit-timing", "drop wall-clock fields from summaries",
+                     omit_timing)
+      .switch_option("quiet", "suppress per-scenario progress lines", quiet)
+      .custom_option("inject-fault", "INDEX:KIND[:S]",
+                     "testing only: KIND throw, delay or exit at one point",
+                     [&](const std::string& v) {
+                       return parse_inject_fault(v, inject);
+                     });
+  if (!flags.parse(argc, argv)) return 1;
+  const std::vector<std::string>& inputs = flags.positionals();
   const bool from_spec = !spec_path.empty();
   if (from_spec == !inputs.empty()) {
-    std::cerr << "usage: example_sweep_runner <dir | scenario.json...> "
-                 "[--shard=K/N] [--jobs=N] [--threads=N] "
-                 "[--executor-threads=N] [--journal=PATH] [--resume] "
-                 "[--retries=N] [--deadline=SEC] [--sim-cache-mb=N] "
-                 "[--sim-store=DIR] [--sim-store-mb=N] "
-                 "[--csv=PATH] [--json=PATH] [--omit-timing] [--quiet]\n"
-                 "   or: example_sweep_runner --spec=SWEEP.json "
-                 "[--materialize=DIR] [same flags]\n"
-                 "--jobs and --threads are concurrency budgets on one "
-                 "shared executor;\n--executor-threads sizes its workers "
-                 "(default $DNNLIFE_EXECUTOR_THREADS, else hardware)\n";
+    std::cerr << flags.usage();
     return 1;
   }
   if (!materialize_dir.empty() && !from_spec) {
     std::cerr << "--materialize requires --spec\n";
     return 1;
   }
-  if (!materialize_dir.empty() &&
-      (shard.count > 1 || !csv_path.empty() || !json_path.empty() ||
-       !journal_path.empty() || resume || inject.has_value() ||
-       executor_threads_set || sim_cache_set || !sim_store_dir.empty() ||
-       sim_store_mb_set)) {
+  if (!materialize_dir.empty()) {
     // Materialisation writes the whole grid and runs nothing, so a shard
     // selection, summary path, journal, simulation cache or store would
     // be silently ignored — reject the contradiction instead.
-    std::cerr << "--materialize only writes the documents; it cannot be "
-                 "combined with --shard, --csv, --json, --journal, "
-                 "--resume, --inject-fault, --executor-threads, "
-                 "--sim-cache-mb, --sim-store or --sim-store-mb\n";
-    return 1;
+    for (const char* flag :
+         {"shard", "csv", "json", "journal", "resume", "inject-fault",
+          "executor-threads", "sim-cache-mb", "sim-store", "sim-store-mb"}) {
+      if (flags.given(flag)) {
+        std::cerr << "--materialize only writes the documents; it cannot be "
+                     "combined with --" << flag << "\n";
+        return 1;
+      }
+    }
   }
-  if (sim_store_mb_set && sim_store_dir.empty()) {
+  if (flags.given("sim-store-mb") && session.sim_store_dir.empty()) {
     std::cerr << "--sim-store-mb bounds a store directory; pass "
                  "--sim-store=DIR to name it\n";
     return 1;
@@ -398,8 +329,8 @@ int main(int argc, char** argv) {
   // Size the shared executor exactly once, before anything submits to it.
   // Without the flag, first use sizes it from DNNLIFE_EXECUTOR_THREADS or
   // the hardware count.
-  if (executor_threads_set)
-    util::Executor::configure_session(executor_threads);
+  if (flags.given("executor-threads"))
+    util::Executor::configure_session(session.executor_threads);
 
   const unsigned resolved_jobs =
       std::min<unsigned>(util::resolve_thread_count(jobs),
@@ -414,7 +345,7 @@ int main(int argc, char** argv) {
             << (resolved_jobs == 1 ? "" : "s");
   if (threads_per_scenario != 0)
     std::cout << ", " << threads_per_scenario << " threads each";
-  if (executor_threads_set)
+  if (flags.given("executor-threads"))
     std::cout << ", " << util::Executor::session().workers()
               << " executor workers";
   if (retries != 0)
@@ -423,24 +354,25 @@ int main(int argc, char** argv) {
     std::cout << ", " << util::Table::num(deadline_seconds, 3)
               << " s deadline";
   std::shared_ptr<core::SimCache> sim_cache;
-  if (sim_cache_mb > 0) {
+  if (session.sim_cache_mb > 0) {
     sim_cache = std::make_shared<core::SimCache>(
-        static_cast<std::size_t>(sim_cache_mb) * 1024 * 1024);
-    std::cout << ", " << sim_cache_mb << " MB sim cache";
+        static_cast<std::size_t>(session.sim_cache_mb) * 1024 * 1024);
+    std::cout << ", " << session.sim_cache_mb << " MB sim cache";
   }
   std::shared_ptr<core::SimStore> sim_store;
-  if (!sim_store_dir.empty()) {
+  if (!session.sim_store_dir.empty()) {
     try {
       // Validates the directory up front (created, probe-written) so a
       // misconfigured store fails here, not mid-sweep.
       sim_store = std::make_shared<core::SimStore>(core::SimStore::Options{
-          sim_store_dir, static_cast<std::size_t>(sim_store_mb) * 1024 * 1024});
+          session.sim_store_dir,
+          static_cast<std::size_t>(sim_store_mb) * 1024 * 1024});
     } catch (const std::exception& error) {
       std::cout << "\n";
       std::cerr << "sim store error: " << error.what() << "\n";
       return 1;
     }
-    std::cout << ", sim store " << sim_store_dir;
+    std::cout << ", sim store " << session.sim_store_dir;
     if (sim_store_mb > 0) std::cout << " (" << sim_store_mb << " MB budget)";
   }
   std::cout << "\n";
@@ -551,36 +483,7 @@ int main(int argc, char** argv) {
             << (pools.states.builds == 1 ? "" : "s") << ", "
             << pools.states.reuses << " reuse"
             << (pools.states.reuses == 1 ? "" : "s") << "\n";
-  if (sim_cache) {
-    const core::SimCacheStats stats = sim_cache->stats();
-    std::cout << "sim cache: " << stats.hits << " hit"
-              << (stats.hits == 1 ? "" : "s") << ", " << stats.misses
-              << " miss" << (stats.misses == 1 ? "" : "es") << ", "
-              << stats.evictions << " eviction"
-              << (stats.evictions == 1 ? "" : "s") << ", " << stats.entries
-              << " resident ("
-              << util::Table::num(
-                     static_cast<double>(stats.bytes_in_use) / (1024.0 * 1024.0),
-                     1)
-              << " MB)\n";
-  }
-  if (sim_store) {
-    // "misses" counts exactly the points that had to simulate (every
-    // simulation is preceded by a store miss), so a warm re-run reports
-    // "0 misses, 0 publishes" — the CI cross-run gate greps for that.
-    const core::SimStoreStats stats = sim_store->stats();
-    std::cout << "sim store: " << stats.hits << " hit"
-              << (stats.hits == 1 ? "" : "s") << ", " << stats.misses
-              << " miss" << (stats.misses == 1 ? "" : "es") << ", "
-              << stats.publishes << " publish"
-              << (stats.publishes == 1 ? "" : "es") << ", "
-              << stats.quarantined << " quarantined, " << stats.gc_evictions
-              << " evicted";
-    if (stats.publish_failures != 0)
-      std::cout << ", " << stats.publish_failures << " publish failure"
-                << (stats.publish_failures == 1 ? "" : "s");
-    std::cout << "\n";
-  }
+  std::cout << core::sim_tier_stats(sim_cache.get(), sim_store.get());
 
   core::SuiteSummaryInfo info;
   info.total_scenarios = suite.size();

@@ -221,7 +221,7 @@ ScenarioSpec parse_scenario(const std::string& json_text) {
     for (const JsonValue& region : v->items())
       spec.regions.push_back(parse_region(region));
   if (const JsonValue* v = root.find("threads"))
-    spec.threads = parse_bounded_uint(*v, "threads", 1u << 10);
+    spec.threads = parse_bounded_uint(*v, "threads", kMaxScenarioThreads);
   if (const JsonValue* v = root.find("use_reference_simulator"))
     spec.use_reference_simulator = v->as_bool();
   if (const JsonValue* v = root.find("report")) parse_report(*v, spec.report);

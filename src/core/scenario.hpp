@@ -44,6 +44,10 @@ struct ScenarioRegionSpec {
   PolicyConfig policy;
 };
 
+/// Upper bound of a scenario's "threads" budget, in documents and on the
+/// runners' command lines.
+inline constexpr unsigned kMaxScenarioThreads = 1u << 10;
+
 struct ScenarioSpec {
   std::string name = "scenario";
   quant::WeightFormat format = quant::WeightFormat::kInt8Symmetric;
@@ -55,6 +59,7 @@ struct ScenarioSpec {
   /// Region → policy assignments; empty means one whole-memory region
   /// with the default (no-mitigation) policy.
   std::vector<ScenarioRegionSpec> regions;
+  /// Concurrency budget, at most kMaxScenarioThreads.
   unsigned threads = 1;
   bool use_reference_simulator = false;
   aging::AgingReportOptions report;

@@ -1,4 +1,4 @@
-// Crash-durable file publication.
+// Crash-durable file publication, and the one whole-file reader.
 //
 // Two subsystems persist state that must survive power loss: the sweep
 // journal (core/sweep_journal.cpp) and the disk simulation store
@@ -48,5 +48,10 @@ void fsync_parent_directory(const std::string& path) noexcept;
 void write_file_durable(const std::string& tmp_path,
                         const std::string& final_path,
                         std::string_view contents);
+
+/// Read a whole file. Throws std::invalid_argument naming the path when
+/// it cannot be opened and when the read fails part-way, so a failing
+/// disk never hands back a truncated document as if it were complete.
+std::string read_file(const std::string& path);
 
 }  // namespace dnnlife::util

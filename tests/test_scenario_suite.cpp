@@ -150,10 +150,10 @@ TEST_F(ScenarioSuiteFixture, CsvAndJsonAggregation) {
   write("two_bad.json",
         small_scenario("two", "\"lifetime\": {\"snm_failure_threshold\": 0.5}"));
   const ScenarioSuite suite = ScenarioSuite::from_directory(dir_.string());
-  const auto outcomes = suite.run({});
+  const auto records = make_suite_records(suite.run({}));
 
   const std::string csv_path = (dir_ / "summary.csv").string();
-  write_suite_csv(csv_path, outcomes);
+  write_suite_csv(csv_path, records, {});
   std::ifstream csv(csv_path);
   ASSERT_TRUE(csv.is_open());
   std::string line;
@@ -164,7 +164,7 @@ TEST_F(ScenarioSuiteFixture, CsvAndJsonAggregation) {
   EXPECT_NE(lines[1].find("one,ok"), std::string::npos);
   EXPECT_NE(lines[2].find("two,error"), std::string::npos);
 
-  const std::string json = suite_summary_json(outcomes);
+  const std::string json = suite_summary_json(records, {});
   EXPECT_NE(json.find("\"scenarios\": ["), std::string::npos);
   EXPECT_NE(json.find("\"failures\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"error\""), std::string::npos);
@@ -191,11 +191,12 @@ TEST_F(ScenarioSuiteFixture, InfiniteLifetimeEmitsNullNotBareInf) {
   ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
   ASSERT_TRUE(outcomes[0].result->lifetime.has_value());
   EXPECT_TRUE(std::isinf(outcomes[0].result->lifetime->device_lifetime_years));
-  const std::string json = suite_summary_json(outcomes);
+  const auto records = make_suite_records(outcomes);
+  const std::string json = suite_summary_json(records, {});
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;
   EXPECT_NE(json.find("\"device_lifetime_years\": null"), std::string::npos);
   const std::string csv_path = (dir_ / "gated.csv").string();
-  write_suite_csv(csv_path, outcomes);
+  write_suite_csv(csv_path, records, {});
   std::ifstream csv(csv_path);
   std::stringstream buffer;
   buffer << csv.rdbuf();

@@ -239,6 +239,13 @@ TEST_F(SweepKillResume, FlagGuardsRejectContradictions) {
   EXPECT_EQ(run_runner(args, err), 1);
   EXPECT_NE(slurp(err).find("--materialize"), std::string::npos);
 
+  // --sim-store-mb bounds a store, so it needs --sim-store to name one.
+  args = shard_args();
+  args.push_back("--sim-store-mb=64");
+  EXPECT_EQ(run_runner(args, err), 1);
+  EXPECT_NE(slurp(err).find("--sim-store-mb bounds a store"),
+            std::string::npos);
+
   // A fresh --journal refuses to overwrite an existing non-empty file.
   const fs::path existing = dir_ / "existing.journal";
   std::ofstream(existing) << "precious bytes\n";

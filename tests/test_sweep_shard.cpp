@@ -342,8 +342,8 @@ TEST(SweepMerge, RejectsSummariesWithoutAManifest) {
       " \"npu\": {\"array_dim\": 32, \"fifo_tiles\": 2},\n"
       " \"phases\": [{\"network\": \"custom_mnist\", \"inferences\": 2}]}";
   suite.add(SuiteEntry{"solo.json", parse_scenario(document), document});
-  const std::vector<SuiteOutcome> outcomes = suite.run({});
-  const std::string legacy = suite_summary_json(outcomes);
+  const std::string legacy =
+      suite_summary_json(make_suite_records(suite.run({})), {});
   std::vector<SuiteSummary> shards;
   shards.push_back(parse_suite_summary(legacy, "legacy"));
   try {
